@@ -62,31 +62,4 @@ Lateness AccountLateness(const std::vector<double>& lag_ms, double limit_ms) {
   return out;
 }
 
-StepVerdict JudgeStep(const std::vector<double>& latency_ms, double p99_limit_ms) {
-  StepVerdict v;
-  if (latency_ms.empty()) {
-    return v;
-  }
-  v.p99_ms = NearestRank(latency_ms, 99.0);
-  const size_t tail = std::max<size_t>(latency_ms.size() / 10, 1);
-  v.tail_decile_p50_ms = Median(std::vector<double>(latency_ms.end() - static_cast<long>(tail),
-                                                    latency_ms.end()));
-  v.passed = v.p99_ms.value <= p99_limit_ms && v.tail_decile_p50_ms <= p99_limit_ms;
-  return v;
-}
-
-RateSearch SearchMaxRate(double lo, double hi, int steps,
-                         const std::function<bool(double rate)>& probe) {
-  RateSearch out;
-  for (int i = 0; i < steps; ++i) {
-    const double mid = std::sqrt(lo * hi);
-    const bool ok = probe(mid);
-    out.probed.push_back(mid);
-    out.passed.push_back(ok);
-    (ok ? lo : hi) = mid;
-  }
-  out.max_rate = lo;
-  return out;
-}
-
 }  // namespace perfbench

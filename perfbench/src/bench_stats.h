@@ -1,6 +1,5 @@
 // The benchmark's own statistics: percentiles that carry their sample
-// counts, the open-loop arrival schedule and its lateness accounting, and the
-// bisection that finds the highest offered rate a service sustains.
+// counts, and the open-loop arrival schedule and its lateness accounting.
 //
 // Everything here is a pure function of its arguments so that
 // tests/bench_stats_test.cc can pin it without a running service.
@@ -9,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace perfbench {
@@ -47,29 +45,6 @@ struct Lateness {
   bool kept = false;
 };
 Lateness AccountLateness(const std::vector<double>& lag_ms, double limit_ms);
-
-// Whether one open-loop step at a fixed offered rate was sustained.
-// `latency_ms` is due-time-to-result latency in due order. The step passes
-// when its p99 is within `p99_limit_ms` and the backlog did not grow: a
-// growing backlog shows as rising latency across the step, so the median of
-// the last tenth of the requests must also stay within the limit.
-struct StepVerdict {
-  bool passed = false;
-  Percentile p99_ms;
-  double tail_decile_p50_ms = 0.0;
-};
-StepVerdict JudgeStep(const std::vector<double>& latency_ms, double p99_limit_ms);
-
-// Highest sustained rate: log-space bisection between `lo` (assumed to pass)
-// and `hi` (assumed to fail), `steps` probes. Returns the highest rate that
-// passed, or `lo` when none of the probes did. `probe(rate)` runs one step.
-struct RateSearch {
-  double max_rate = 0.0;
-  std::vector<double> probed;   // in probe order
-  std::vector<bool> passed;     // parallel to `probed`
-};
-RateSearch SearchMaxRate(double lo, double hi, int steps,
-                         const std::function<bool(double rate)>& probe);
 
 }  // namespace perfbench
 

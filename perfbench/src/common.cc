@@ -13,6 +13,15 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+double ProcessCpuSeconds() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + 1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
 double PeakRssMb() {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);

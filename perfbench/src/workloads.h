@@ -83,6 +83,9 @@ void AddTraceStageMetrics(WorkloadResult* out);
 // head is created — and no parameter drawn — while a workload runs.
 std::unique_ptr<cdmpp::CdmppPredictor> PretrainServedModel(const cdmpp::Dataset& ds);
 
+// User plus system CPU time of every thread of this process so far.
+double ProcessCpuSeconds();
+
 // Peak resident set size of this process, in MiB.
 double PeakRssMb();
 

@@ -1,8 +1,7 @@
 // Unit tests of the benchmark's own statistics: percentiles and their sample
-// counts, the max-rate search, lateness accounting and the step verdict.
+// counts, the Poisson schedule, lateness accounting and the span log.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -90,43 +89,6 @@ TEST(Lateness, KeptOnlyWhenP99LagIsWithinTheLimit) {
   Lateness late = AccountLateness(lag, 1.0);
   EXPECT_FALSE(late.kept);
   EXPECT_EQ(late.p99_ms.value, 5.0);
-}
-
-TEST(JudgeStep, PassesAFlatStepAndFailsAGrowingBacklog) {
-  std::vector<double> flat(2000, 0.6);
-  EXPECT_TRUE(JudgeStep(flat, 10.0).passed);
-  // Latency growing linearly to 40 ms: the backlog grew during the step.
-  std::vector<double> growing;
-  for (int i = 0; i < 2000; ++i) {
-    growing.push_back(0.6 + 40.0 * i / 2000.0);
-  }
-  const StepVerdict v = JudgeStep(growing, 10.0);
-  EXPECT_FALSE(v.passed);
-  EXPECT_GT(v.tail_decile_p50_ms, 10.0);
-  // A tail above the limit fails even when the backlog is flat.
-  std::vector<double> spiky(flat);
-  for (int i = 0; i < 40; ++i) {
-    spiky[static_cast<size_t>(i * 50)] = 50.0;
-  }
-  EXPECT_FALSE(JudgeStep(spiky, 10.0).passed);
-  EXPECT_FALSE(JudgeStep({}, 10.0).passed);
-}
-
-TEST(SearchMaxRate, ConvergesOnTheKneeFromBelow) {
-  const double knee = 37000.0;
-  const RateSearch s = SearchMaxRate(10000.0, 200000.0, 7, [&](double r) { return r <= knee; });
-  EXPECT_EQ(s.probed.size(), 7u);
-  EXPECT_LE(s.max_rate, knee);
-  // Seven halvings of log(20) leave a bracket of 20^(1/128), about 2.4%.
-  EXPECT_GT(s.max_rate, knee / std::pow(20.0, 1.0 / 128.0));
-  for (size_t i = 0; i < s.probed.size(); ++i) {
-    EXPECT_EQ(s.passed[i], s.probed[i] <= knee);
-  }
-}
-
-TEST(SearchMaxRate, ReturnsTheLowerBoundWhenNothingPasses) {
-  const RateSearch s = SearchMaxRate(10000.0, 200000.0, 5, [](double) { return false; });
-  EXPECT_EQ(s.max_rate, 10000.0);
 }
 
 TEST(SpanLog, DisabledRecordsNothing) {
