@@ -79,6 +79,8 @@ void HabitatModel::Fit(const Dataset& ds, const std::vector<int>& train, int sou
     for (int i = 0; i < n; ++i) {
       order[static_cast<size_t>(i)] = i;
     }
+    Workspace ws;
+    Mlp::Cache cache;
     for (int epoch = 0; epoch < config_.epochs; ++epoch) {
       rng_->Shuffle(&order);
       for (int start = 0; start < n; start += config_.batch_size) {
@@ -91,13 +93,14 @@ void HabitatModel::Fit(const Dataset& ds, const std::vector<int>& train, int sou
           }
         }
         op->mlp->ZeroGrad();
-        Matrix pred = op->mlp->Forward(x);
+        ws.Reset();
+        const Matrix& pred = *op->mlp->Forward(x, &ws, &cache);
         Matrix dpred(b, 1);
         for (int i = 0; i < b; ++i) {
           float t = op->log_labels[static_cast<size_t>(order[static_cast<size_t>(start + i)])];
           dpred.At(i, 0) = 2.0f * (pred.At(i, 0) - t) / static_cast<float>(b);
         }
-        op->mlp->Backward(dpred);
+        op->mlp->Backward(cache, dpred);
         op->adam->Step();
       }
     }
@@ -116,9 +119,8 @@ double HabitatModel::PredictTask(const Task& task, int device_id) const {
     for (int j = 0; j < kOpFeatDim; ++j) {
       x.At(0, j) = f[static_cast<size_t>(j)];
     }
-    // Forward mutates layer caches; per_op_ is logically const here.
-    Mlp* mlp = it->second->mlp.get();
-    pred_ms = std::exp(static_cast<double>(mlp->Forward(x).At(0, 0)));
+    Workspace ws;
+    pred_ms = std::exp(static_cast<double>(it->second->mlp->Forward(x, &ws)->At(0, 0)));
   }
   if (device_id != source_device_) {
     // time_target = time_source * (peak_source / peak_target), blended.

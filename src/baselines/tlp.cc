@@ -64,6 +64,8 @@ void TlpModel::Fit(const Dataset& ds, const std::vector<int>& train) {
 
   std::vector<int> order = train;
   const int n = static_cast<int>(order.size());
+  Workspace ws;
+  Mlp::Cache cache;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng_.Shuffle(&order);
     for (int start = 0; start < n; start += config_.batch_size) {
@@ -83,13 +85,14 @@ void TlpModel::Fit(const Dataset& ds, const std::vector<int>& train) {
             static_cast<float>(std::log(std::max(1e-6, s.latency_seconds / mean)));
       }
       mlp_->ZeroGrad();
-      Matrix pred = mlp_->Forward(x);
+      ws.Reset();
+      const Matrix& pred = *mlp_->Forward(x, &ws, &cache);
       Matrix dpred(b, 1);
       for (int i = 0; i < b; ++i) {
         dpred.At(i, 0) =
             2.0f * (pred.At(i, 0) - targets[static_cast<size_t>(i)]) / static_cast<float>(b);
       }
-      mlp_->Backward(dpred);
+      mlp_->Backward(cache, dpred);
       adam_->Step();
     }
   }
@@ -99,6 +102,7 @@ std::vector<double> TlpModel::Predict(const Dataset& ds, const std::vector<int>&
   CDMPP_CHECK(mlp_ != nullptr);
   std::vector<double> out;
   out.reserve(indices.size());
+  Workspace ws;
   for (int idx : indices) {
     const Sample& s = ds.samples[static_cast<size_t>(idx)];
     std::vector<float> f = Features(ds, s);
@@ -106,7 +110,8 @@ std::vector<double> TlpModel::Predict(const Dataset& ds, const std::vector<int>&
     for (int j = 0; j < kTlpFeatDim; ++j) {
       x.At(0, j) = f[static_cast<size_t>(j)];
     }
-    double rel = std::exp(static_cast<double>(mlp_->Forward(x).At(0, 0)));
+    ws.Reset();
+    double rel = std::exp(static_cast<double>(mlp_->Forward(x, &ws)->At(0, 0)));
     int task_id = ds.programs[static_cast<size_t>(s.program_index)].task_id;
     auto it = task_mean_seconds_.find(task_id);
     double mean = it != task_mean_seconds_.end() ? it->second : global_mean_seconds_;

@@ -38,12 +38,6 @@ void PackRowsInto(const Matrix& x, int batch, int seq_len, Matrix* out) {
   }
 }
 
-Matrix PackRows(const Matrix& x, int batch, int seq_len) {
-  Matrix out(batch, seq_len * x.cols());
-  PackRowsInto(x, batch, seq_len, &out);
-  return out;
-}
-
 Matrix UnpackRows(const Matrix& x, int seq_len, int d_model) {
   CDMPP_CHECK(x.cols() == seq_len * d_model);
   Matrix out(x.rows() * seq_len, d_model);
@@ -128,46 +122,13 @@ void CdmppPredictor::RebuildOptimizer() {
   }
 }
 
-CdmppPredictor::BatchForward CdmppPredictor::Forward(const Dataset& ds, const Batch& batch) {
-  const int b = static_cast<int>(batch.sample_indices.size());
-  const int l = batch.seq_len;
-  cached_seq_len_ = l;
-  cached_batch_size_ = b;
-
-  Matrix x = BuildFeatureMatrix(ds, batch, scaler_.fitted() ? &scaler_ : nullptr,
-                                config_.use_pe, config_.pe_theta);
-  Matrix h = encoder_->Forward(input_proj_->Forward(x), l);
-  auto head_it = leaf_heads_.find(l);
-  CDMPP_CHECK_MSG(head_it != leaf_heads_.end(), "no head for this leaf count");
-  Matrix zx = head_it->second->Forward(PackRows(h, b, l));
-  cached_zx_ = zx;
-
-  Matrix zv = device_mlp_->Forward(BuildDeviceFeatureMatrix(ds, batch));
-
-  BatchForward out;
-  out.z = Matrix(b, config_.z_dim + config_.device_embed_dim);
-  for (int i = 0; i < b; ++i) {
-    float* row = out.z.Row(i);
-    for (int j = 0; j < config_.z_dim; ++j) {
-      row[j] = zx.At(i, j);
-    }
-    for (int j = 0; j < config_.device_embed_dim; ++j) {
-      row[config_.z_dim + j] = zv.At(i, j);
-    }
-  }
-  out.preds = decoder_->Forward(out.z);
-  return out;
-}
-
-void CdmppPredictor::Backward(const Batch& /*batch*/, const Matrix& dpred,
+void CdmppPredictor::Backward(const ForwardCache& cache, const Matrix& dpred,
                               const Matrix& dz_extra) {
-  // The batch itself is not re-read here: every activation the backward pass
-  // needs was cached by the preceding Forward (cached_batch_size_ et al.).
-  const int b = cached_batch_size_;
-  const int l = cached_seq_len_;
+  const int b = cache.batch;
+  const int l = cache.seq_len;
   Matrix dz;
   if (!dpred.empty()) {
-    dz = decoder_->Backward(dpred);
+    dz = decoder_->Backward(cache.decoder, dpred);
   } else {
     dz = Matrix(b, config_.z_dim + config_.device_embed_dim);
   }
@@ -186,10 +147,10 @@ void CdmppPredictor::Backward(const Batch& /*batch*/, const Matrix& dpred,
       dzv.At(i, j) = row[config_.z_dim + j];
     }
   }
-  device_mlp_->Backward(dzv);
-  Matrix dh_flat = leaf_heads_.at(l)->Backward(dzx);
+  device_mlp_->Backward(cache.device_mlp, dzv);
+  Matrix dh_flat = leaf_heads_.at(l)->Backward(cache.head, dzx);
   Matrix dh = UnpackRows(dh_flat, l, config_.d_model);
-  input_proj_->Backward(encoder_->Backward(dh));
+  input_proj_->Backward(cache.input_proj, encoder_->Backward(cache.encoder, dh));
 }
 
 void CdmppPredictor::ClipGradients() {
@@ -286,6 +247,10 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
                                        const std::vector<int>& target_domain) {
   TrainStats stats;
   auto buckets = GroupByLeafCount(ds, train);
+  // Batches hold sample indices, which are positions into this view.
+  const AstBatchView view = DatasetView(ds);
+  ForwardCache cache;
+  Matrix z_const;  // the CMD pass's constant-side latents
 
   // Pre-transform all labels once.
   std::vector<float> transformed(ds.samples.size(), 0.0f);
@@ -317,6 +282,12 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
     }
     double epoch_loss = 0.0;
     size_t step_in_epoch = 0;
+    // Every pass of the epoch draws its tensors from one arena, rewound
+    // before each pass. It is leased from the global pool and returned before
+    // validation, and the pool lends the most recently returned arena first:
+    // Evaluate's forward reuses these warm buffers instead of growing a
+    // second arena.
+    WorkspacePool::Lease ws = WorkspacePool::Global().Acquire();
     for (const Batch& batch : batches) {
       optimizer_->set_learning_rate(scheduler_->LrAt(global_step_));
       // Zero all grads.
@@ -327,11 +298,13 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
       }
 
       // ---- Prediction loss pass. ----
-      BatchForward fwd = Forward(ds, batch);
+      ws->Reset();
+      const Matrix& fwd_preds =
+          *ForwardBatch(view, batch, /*int8=*/false, ws.get(), &cache).preds;
       std::vector<float> preds(batch.sample_indices.size());
       std::vector<float> targets(batch.sample_indices.size());
       for (size_t i = 0; i < batch.sample_indices.size(); ++i) {
-        preds[i] = fwd.preds.At(static_cast<int>(i), 0);
+        preds[i] = fwd_preds.At(static_cast<int>(i), 0);
         targets[i] = transformed[static_cast<size_t>(batch.sample_indices[i])];
       }
       LossResult loss = ComputeLoss(config_.loss, preds, targets, config_.lambda_mape);
@@ -339,7 +312,7 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
       for (size_t i = 0; i < preds.size(); ++i) {
         dpred.At(static_cast<int>(i), 0) = loss.grad[i];
       }
-      Backward(batch, dpred, Matrix());
+      Backward(cache, dpred, Matrix());
       double step_loss = loss.value;
 
       // ---- CMD regularizer pass (one side per step, alternating). ----
@@ -351,14 +324,16 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
         const Batch& grad_batch =
             update_source ? src_batches[step_in_epoch % src_batches.size()]
                           : tgt_batches[step_in_epoch % tgt_batches.size()];
-        // Constant side first (its caches are overwritten by the grad side).
-        Matrix z_const = Forward(ds, const_batch).z;
-        BatchForward grad_fwd = Forward(ds, grad_batch);
-        Matrix dz(grad_fwd.z.rows(), grad_fwd.z.cols());
+        // The constant side needs no cache: only its latents enter the CMD.
+        ws->Reset();
+        z_const = *ForwardBatch(view, const_batch, /*int8=*/false, ws.get(), nullptr).z;
+        ws->Reset();
+        const Matrix& z_grad = *ForwardBatch(view, grad_batch, false, ws.get(), &cache).z;
+        Matrix dz(z_grad.rows(), z_grad.cols());
         Matrix dz_const(z_const.rows(), z_const.cols());
-        double cmd = CmdDistanceWithGrad(grad_fwd.z, z_const, config_.cmd_moments,
+        double cmd = CmdDistanceWithGrad(z_grad, z_const, config_.cmd_moments,
                                          /*span=*/-1.0, alpha, &dz, &dz_const);
-        Backward(grad_batch, Matrix(), dz);
+        Backward(cache, Matrix(), dz);
         step_loss += alpha * cmd;
       }
 
@@ -369,6 +344,7 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
       samples_seen += batch.sample_indices.size();
       epoch_loss += step_loss;
     }
+    ws.reset();
     stats.epoch_train_loss.push_back(epoch_loss / std::max<size_t>(1, batches.size()));
 
     if (!valid.empty()) {
@@ -397,25 +373,7 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
 std::vector<double> CdmppPredictor::Predict(const Dataset& ds, const std::vector<int>& indices) {
   CDMPP_CHECK(fitted_);
   EnsureHeads(ds, indices);
-  std::vector<double> out(indices.size(), 0.0);
-  // Position of each sample index within `indices` (indices may repeat).
-  std::map<int, std::vector<size_t>> positions;
-  for (size_t i = 0; i < indices.size(); ++i) {
-    positions[indices[i]].push_back(i);
-  }
-  auto buckets = GroupByLeafCount(ds, indices);
-  std::vector<Batch> batches = MakeBatches(buckets, config_.batch_size, /*rng=*/nullptr);
-  for (const Batch& batch : batches) {
-    BatchForward fwd = Forward(ds, batch);
-    for (size_t i = 0; i < batch.sample_indices.size(); ++i) {
-      double pred_ms = label_transform_->Inverse(
-          ClampTransformed(static_cast<double>(fwd.preds.At(static_cast<int>(i), 0))));
-      for (size_t pos : positions[batch.sample_indices[i]]) {
-        out[pos] = pred_ms / kSecondsToMs;
-      }
-    }
-  }
-  return out;
+  return PredictBatched(DatasetView(ds, indices));
 }
 
 double CdmppPredictor::PredictAst(const CompactAst& ast, int device_id) {
@@ -453,8 +411,7 @@ void CdmppPredictor::PrepareQuantizedInference() {
   // The decoder's final [*, 1] projection stays fp32: its absolute noise
   // hits the transformed label directly (see QuantizedMlp in quantize.h).
   q_decoder_ = std::make_unique<QuantizedMlp>(*decoder_, /*num_fp32_tail_layers=*/1);
-  // Encoder weight GEMMs (the bulk of serving FLOPs); used by Precision::kInt8,
-  // skipped by kInt8Heads at forward time.
+  // Encoder weight GEMMs (the bulk of serving FLOPs).
   q_encoder_ = std::make_unique<QuantizedTransformerEncoder>(*encoder_);
 }
 
@@ -501,30 +458,105 @@ std::vector<double> CdmppPredictor::PredictBatched(const AstBatchView& view,
 
 void CdmppPredictor::PredictBatched(const AstBatchView& view, Workspace* ws, double* out,
                                     uint64_t* num_forward_passes) const {
-  PredictBatchedImpl(view, ws, out, num_forward_passes, Precision::kFp32);
+  PredictBatchedImpl(view, ws, out, num_forward_passes, /*int8=*/false);
 }
 
 void CdmppPredictor::PredictBatchedQuantized(const AstBatchView& view, Workspace* ws,
-                                             double* out, uint64_t* num_forward_passes,
-                                             Precision mode) const {
+                                             double* out, uint64_t* num_forward_passes) const {
   CDMPP_CHECK_MSG(quantized_ready(),
                   "int8 serving before PrepareQuantizedInference()");
-  CDMPP_CHECK_MSG(mode != Precision::kFp32,
-                  "PredictBatchedQuantized called with fp32 mode; use PredictBatched");
-  PredictBatchedImpl(view, ws, out, num_forward_passes, mode);
+  PredictBatchedImpl(view, ws, out, num_forward_passes, /*int8=*/true);
 }
 
-std::vector<double> CdmppPredictor::PredictBatchedQuantized(
-    const AstBatchView& view, uint64_t* num_forward_passes, Precision mode) const {
+std::vector<double> CdmppPredictor::PredictBatchedQuantized(const AstBatchView& view,
+                                                            uint64_t* num_forward_passes) const {
   WorkspacePool::Lease ws = WorkspacePool::Global().Acquire();
   std::vector<double> out(view.size(), 0.0);
-  PredictBatchedQuantized(view, ws.get(), out.data(), num_forward_passes, mode);
+  PredictBatchedQuantized(view, ws.get(), out.data(), num_forward_passes);
+  return out;
+}
+
+CdmppPredictor::BatchForward CdmppPredictor::ForwardBatch(const AstBatchView& view,
+                                                          const Batch& batch, bool int8,
+                                                          Workspace* ws,
+                                                          ForwardCache* cache) const {
+  CDMPP_CHECK_MSG(!(int8 && cache != nullptr), "the int8 tier has no backward");
+  const bool train = cache != nullptr;
+  const int b = static_cast<int>(batch.sample_indices.size());
+  const int l = batch.seq_len;
+  if (train) {
+    cache->batch = b;
+    cache->seq_len = l;
+  }
+  auto head_it = leaf_heads_.find(l);
+  CDMPP_CHECK_MSG(head_it != leaf_heads_.end(),
+                  "no head for this leaf count; call EnsureHead first");
+  const QuantizedLinear* q_head = nullptr;
+  if (int8) {
+    auto q_it = q_leaf_heads_.find(l);
+    CDMPP_CHECK_MSG(q_it != q_leaf_heads_.end(),
+                    "no quantized head for this leaf count; call EnsureQuantizedHead first");
+    q_head = q_it->second.get();
+  }
+
+  // Per-stage trace spans (no-ops unless the serving layer sampled this
+  // batch and bound a Trace to the calling thread). Pure timing on the
+  // calling thread: the data plane below is untouched, so the bitwise
+  // thread-count/batch-size invariance contracts hold with tracing on.
+  Matrix* x = ws->NewMatrix(b * l, kFeatDim);
+  {
+    obs::ScopedSpan span(obs::Stage::kFeaturize);
+    BuildFeatureMatrixInto(view, batch, scaler_.fitted() ? &scaler_ : nullptr, config_.use_pe,
+                           config_.pe_theta, x);
+  }
+  Matrix* h = nullptr;
+  {
+    obs::ScopedSpan span(obs::Stage::kEncoder);
+    // The input projection stays fp32 in every tier: its quantization noise
+    // would feed the whole stack for ~1% of model FLOPs.
+    Matrix* proj = input_proj_->Forward(*x, ws, train ? &cache->input_proj : nullptr);
+    h = int8 ? q_encoder_->Forward(*proj, l, ws)
+             : encoder_->Forward(*proj, l, ws, train ? &cache->encoder : nullptr);
+  }
+  Matrix* zx = nullptr;
+  {
+    obs::ScopedSpan span(obs::Stage::kHeads);
+    Matrix* packed = ws->NewMatrix(b, l * config_.d_model);
+    PackRowsInto(*h, b, l, packed);
+    zx = int8 ? q_head->Forward(*packed, ws)
+              : head_it->second->Forward(*packed, ws, train ? &cache->head : nullptr);
+  }
+
+  Matrix* zv = nullptr;
+  {
+    obs::ScopedSpan span(obs::Stage::kDeviceMlp);
+    Matrix* dev = ws->NewMatrix(b, kDeviceFeatDim);
+    BuildDeviceFeatureMatrixInto(view, batch, dev);
+    zv = int8 ? q_device_mlp_->Forward(*dev, ws)
+              : device_mlp_->Forward(*dev, ws, train ? &cache->device_mlp : nullptr);
+  }
+
+  BatchForward out;
+  {
+    obs::ScopedSpan span(obs::Stage::kDecoder);
+    out.z = ws->NewMatrix(b, config_.z_dim + config_.device_embed_dim);
+    for (int i = 0; i < b; ++i) {
+      float* row = out.z->Row(i);
+      for (int j = 0; j < config_.z_dim; ++j) {
+        row[j] = zx->At(i, j);
+      }
+      for (int j = 0; j < config_.device_embed_dim; ++j) {
+        row[config_.z_dim + j] = zv->At(i, j);
+      }
+    }
+    out.preds = int8 ? q_decoder_->Forward(*out.z, ws)
+                     : decoder_->Forward(*out.z, ws, train ? &cache->decoder : nullptr);
+  }
   return out;
 }
 
 void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws, double* out,
-                                        uint64_t* num_forward_passes, Precision mode) const {
-  const bool quantized = mode != Precision::kFp32;
+                                        uint64_t* num_forward_passes, bool int8) const {
   CDMPP_CHECK(fitted_);
   CDMPP_CHECK(view.asts.size() == view.device_ids.size());
   if (view.size() == 0) {
@@ -544,86 +576,19 @@ void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws,
   if (num_forward_passes != nullptr) {
     *num_forward_passes = static_cast<uint64_t>(plan.num_batches());
   }
-  const StandardScaler* scaler = scaler_.fitted() ? &scaler_ : nullptr;
   for (int bi = 0; bi < plan.num_batches(); ++bi) {
     const Batch& batch = plan.batch(bi);
-    const int b = static_cast<int>(batch.sample_indices.size());
-    const int l = batch.seq_len;
-    auto head_it = leaf_heads_.find(l);
-    CDMPP_CHECK_MSG(head_it != leaf_heads_.end(),
-                    "no head for this leaf count; call EnsureHead first");
-    const QuantizedLinear* q_head = nullptr;
-    if (quantized) {
-      auto q_it = q_leaf_heads_.find(l);
-      CDMPP_CHECK_MSG(q_it != q_leaf_heads_.end(),
-                      "no quantized head for this leaf count; call EnsureQuantizedHead first");
-      q_head = q_it->second.get();
-    }
-
-    // Per-stage trace spans (no-ops unless the serving layer sampled this
-    // batch and bound a Trace to the calling thread). Pure timing on the
-    // calling thread: the data plane below is untouched, so the bitwise
-    // thread-count/batch-size invariance contracts hold with tracing on.
     ws->Reset();
-    Matrix* x = ws->NewMatrix(b * l, kFeatDim);
-    {
-      obs::ScopedSpan span(obs::Stage::kFeaturize);
-      BuildFeatureMatrixInto(view, batch, scaler, config_.use_pe, config_.pe_theta, x);
-    }
-    Matrix* h = nullptr;
-    {
-      obs::ScopedSpan span(obs::Stage::kEncoder);
-      // The input projection stays fp32 in every mode (its quantization noise
-      // would feed the whole stack for ~1% of model FLOPs); kInt8 swaps the
-      // encoder stack for its quantized snapshot, kInt8Heads keeps it fp32.
-      Matrix* proj = input_proj_->ForwardInference(*x, ws);
-      h = mode == Precision::kInt8 ? q_encoder_->ForwardInference(*proj, l, ws)
-                                   : encoder_->ForwardInference(*proj, l, ws);
-    }
-    Matrix* zx = nullptr;
-    {
-      obs::ScopedSpan span(obs::Stage::kHeads);
-      Matrix* packed = ws->NewMatrix(b, l * config_.d_model);
-      PackRowsInto(*h, b, l, packed);
-      zx = quantized ? q_head->ForwardInference(*packed, ws)
-                     : head_it->second->ForwardInference(*packed, ws);
-    }
-
-    Matrix* zv = nullptr;
-    {
-      obs::ScopedSpan span(obs::Stage::kDeviceMlp);
-      Matrix* dev = ws->NewMatrix(b, kDeviceFeatDim);
-      BuildDeviceFeatureMatrixInto(view, batch, dev);
-      zv = quantized ? q_device_mlp_->ForwardInference(*dev, ws)
-                     : device_mlp_->ForwardInference(*dev, ws);
-    }
-
-    Matrix* preds = nullptr;
-    {
-      obs::ScopedSpan span(obs::Stage::kDecoder);
-      Matrix* z = ws->NewMatrix(b, config_.z_dim + config_.device_embed_dim);
-      for (int i = 0; i < b; ++i) {
-        float* row = z->Row(i);
-        for (int j = 0; j < config_.z_dim; ++j) {
-          row[j] = zx->At(i, j);
-        }
-        for (int j = 0; j < config_.device_embed_dim; ++j) {
-          row[config_.z_dim + j] = zv->At(i, j);
-        }
-      }
-      preds = quantized ? q_decoder_->ForwardInference(*z, ws)
-                        : decoder_->ForwardInference(*z, ws);
-    }
+    const Matrix& preds = *ForwardBatch(view, batch, int8, ws, /*cache=*/nullptr).preds;
     {
       // "Dequant" in the serving sense: map the transformed model output back
       // to seconds. (The int8 GEMM dequant epilogues are fused in-kernel and
       // accounted to their host stage.)
       obs::ScopedSpan span(obs::Stage::kDequant);
-      for (int i = 0; i < b; ++i) {
+      for (size_t i = 0; i < batch.sample_indices.size(); ++i) {
         double pred_ms = label_transform_->Inverse(
-            ClampTransformed(static_cast<double>(preds->At(i, 0))));
-        out[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])] =
-            pred_ms / kSecondsToMs;
+            ClampTransformed(static_cast<double>(preds.At(static_cast<int>(i), 0))));
+        out[static_cast<size_t>(batch.sample_indices[i])] = pred_ms / kSecondsToMs;
       }
     }
   }
@@ -669,21 +634,18 @@ EvalStats CdmppPredictor::Evaluate(const Dataset& ds, const std::vector<int>& in
 Matrix CdmppPredictor::EncodeLatent(const Dataset& ds, const std::vector<int>& indices) {
   CDMPP_CHECK(fitted_);
   EnsureHeads(ds, indices);
+  const AstBatchView view = DatasetView(ds, indices);
   Matrix out(static_cast<int>(indices.size()), config_.z_dim + config_.device_embed_dim);
-  std::map<int, std::vector<size_t>> positions;
-  for (size_t i = 0; i < indices.size(); ++i) {
-    positions[indices[i]].push_back(i);
-  }
-  auto buckets = GroupByLeafCount(ds, indices);
-  std::vector<Batch> batches = MakeBatches(buckets, config_.batch_size, /*rng=*/nullptr);
-  for (const Batch& batch : batches) {
-    BatchForward fwd = Forward(ds, batch);
+  BatchPlan plan;
+  plan.Build(view, config_.batch_size);
+  WorkspacePool::Lease ws = WorkspacePool::Global().Acquire();
+  for (int bi = 0; bi < plan.num_batches(); ++bi) {
+    const Batch& batch = plan.batch(bi);
+    ws->Reset();
+    const Matrix& z = *ForwardBatch(view, batch, /*int8=*/false, ws.get(), /*cache=*/nullptr).z;
     for (size_t i = 0; i < batch.sample_indices.size(); ++i) {
-      for (size_t pos : positions[batch.sample_indices[i]]) {
-        for (int j = 0; j < out.cols(); ++j) {
-          out.At(static_cast<int>(pos), j) = fwd.z.At(static_cast<int>(i), j);
-        }
-      }
+      std::copy(z.Row(static_cast<int>(i)), z.Row(static_cast<int>(i)) + z.cols(),
+                out.Row(batch.sample_indices[i]));
     }
   }
   return out;

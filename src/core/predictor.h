@@ -23,7 +23,6 @@
 #include "src/nn/quantize.h"
 #include "src/nn/transformer.h"
 #include "src/nn/workspace.h"
-#include "src/support/cpu_features.h"
 
 namespace cdmpp {
 
@@ -102,7 +101,8 @@ class CdmppPredictor {
                       const std::vector<int>& source_domain,
                       const std::vector<int>& target_domain, int epochs);
 
-  // Predicted latencies in seconds (inverse-transformed).
+  // Predicted latencies in seconds (inverse-transformed). Runs the serving
+  // forward (PredictBatched), so results equal PredictAst bitwise.
   std::vector<double> Predict(const Dataset& ds, const std::vector<int>& indices);
   // Predicts a single program (by dataset program index) on a device.
   double PredictProgram(const Dataset& ds, int program_index, int device_id);
@@ -141,21 +141,17 @@ class CdmppPredictor {
   void PredictBatched(const AstBatchView& view, Workspace* ws, double* out,
                       uint64_t* num_forward_passes = nullptr) const;
 
-  // ---- Int8 quantized serving path (CDMPP_PRECISION=int8|int8-heads) -------
+  // ---- Int8 quantized serving path (CDMPP_PRECISION=int8) ------------------
   //
   // PredictBatchedQuantized is PredictBatched with the weight GEMMs routed
   // through the int8 symmetric-quantized kernel tier (src/nn/quantize.h):
   // int8 GEMMs with per-output-channel weight scales and dynamic per-row
-  // activation scales. `mode` selects the coverage:
-  //   * Precision::kInt8 (the default tier): the transformer encoder's
-  //     QKV/output projections and FFN pair (the bulk of serving FLOPs, with
-  //     per-channel activation scales derived from the LayerNorms — see
-  //     QuantizedTransformerEncoder), plus the per-leaf-count heads, the
-  //     device MLP, and the decoder hiddens.
-  //   * Precision::kInt8Heads: the pre-encoder subset (heads + device MLP +
-  //     decoder hiddens), kept for A/B-measuring the encoder conversion.
-  // In both modes three fringes stay fp32, each from a measured
-  // accuracy/throughput trade: attention's activation×activation
+  // activation scales. It covers the transformer encoder's QKV/output
+  // projections and FFN pair (the bulk of serving FLOPs, with per-channel
+  // activation scales derived from the LayerNorms — see
+  // QuantizedTransformerEncoder), plus the per-leaf-count heads, the device
+  // MLP, and the decoder hiddens. Three fringes stay fp32, each from a
+  // measured accuracy/throughput trade: attention's activation×activation
   // score/context GEMMs (both operands dynamic — ROADMAP follow-on), the
   // input projection (its quantization noise feeds the whole encoder stack
   // while its GEMM is ~1% of model FLOPs), and the decoder's final [*, 1]
@@ -179,11 +175,9 @@ class CdmppPredictor {
   // serialize against concurrent PredictBatched*/PredictAst calls.
   void EnsureQuantizedHead(int leaf_count);
   std::vector<double> PredictBatchedQuantized(const AstBatchView& view,
-                                              uint64_t* num_forward_passes = nullptr,
-                                              Precision mode = Precision::kInt8) const;
+                                              uint64_t* num_forward_passes = nullptr) const;
   void PredictBatchedQuantized(const AstBatchView& view, Workspace* ws, double* out,
-                               uint64_t* num_forward_passes = nullptr,
-                               Precision mode = Precision::kInt8) const;
+                               uint64_t* num_forward_passes = nullptr) const;
 
   // True once Pretrain has fitted the feature scaler and label transform.
   bool fitted() const { return fitted_; }
@@ -209,9 +203,20 @@ class CdmppPredictor {
   void ImportParams(const std::vector<Matrix>& params);
 
  private:
+  // What one training pass records for Backward: per-layer caches pointing
+  // into the pass's Workspace, valid until its next Reset().
+  struct ForwardCache {
+    int batch = 0;
+    int seq_len = 0;
+    Linear::Cache input_proj;
+    TransformerEncoder::Cache encoder;
+    Linear::Cache head;
+    Mlp::Cache device_mlp;
+    Mlp::Cache decoder;
+  };
   struct BatchForward {
-    Matrix z;      // [B, z_dim + device_embed_dim]
-    Matrix preds;  // [B, 1]
+    Matrix* z = nullptr;      // [B, z_dim + device_embed_dim]
+    Matrix* preds = nullptr;  // [B, 1]
   };
 
   // Creates per-leaf-count heads for every leaf count in the dataset subset.
@@ -222,15 +227,19 @@ class CdmppPredictor {
   void RebuildOptimizer();
   void CollectAllParams(std::vector<Param*>* out);
 
-  // Shared serving forward: the fp32 and both int8 modes differ only in
-  // which layer snapshots run the weight-GEMM stages (`mode` selects encoder
-  // coverage on top of the heads/device-MLP/decoder swap).
+  // The one per-batch forward, shared by training, evaluation and serving:
+  // `batch` holds positions into `view` that all have batch.seq_len leaves.
+  // Tensors come from `ws`. A non-null `cache` records what Backward needs
+  // (fp32 only); `int8` swaps the weight-GEMM stages for their quantized
+  // snapshots.
+  BatchForward ForwardBatch(const AstBatchView& view, const Batch& batch, bool int8,
+                            Workspace* ws, ForwardCache* cache) const;
+  // Serving loop over ForwardBatch for the fp32 and int8 tiers.
   void PredictBatchedImpl(const AstBatchView& view, Workspace* ws, double* out,
-                          uint64_t* num_forward_passes, Precision mode) const;
-
-  BatchForward Forward(const Dataset& ds, const Batch& batch);
-  // Backprops d(loss)/d(pred) [B,1] and optionally d(loss)/dz (may be empty).
-  void Backward(const Batch& batch, const Matrix& dpred, const Matrix& dz_extra);
+                          uint64_t* num_forward_passes, bool int8) const;
+  // Backprops d(loss)/d(pred) [B,1] and optionally d(loss)/dz (may be empty)
+  // through the pass `cache` recorded.
+  void Backward(const ForwardCache& cache, const Matrix& dpred, const Matrix& dz_extra);
   void ClipGradients();
   std::vector<Matrix> SnapshotParams();
   void RestoreParams(const std::vector<Matrix>& snapshot);
@@ -263,11 +272,6 @@ class CdmppPredictor {
   std::unique_ptr<QuantizedMlp> q_device_mlp_;
   std::unique_ptr<QuantizedMlp> q_decoder_;
   std::unique_ptr<QuantizedTransformerEncoder> q_encoder_;
-
-  // Forward caches for Backward.
-  int cached_seq_len_ = 0;
-  int cached_batch_size_ = 0;
-  Matrix cached_zx_;
 };
 
 }  // namespace cdmpp

@@ -41,48 +41,6 @@ std::vector<Batch> MakeBatches(const std::map<int, std::vector<int>>& buckets, i
   return batches;
 }
 
-Matrix BuildFeatureMatrix(const Dataset& ds, const Batch& batch, const StandardScaler* scaler,
-                          bool use_pe, double theta) {
-  const int b = static_cast<int>(batch.sample_indices.size());
-  const int l = batch.seq_len;
-  Matrix x(b * l, kFeatDim);
-  for (int i = 0; i < b; ++i) {
-    const Sample& s = ds.samples[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
-    const CompactAst& ast = ds.programs[static_cast<size_t>(s.program_index)].ast;
-    CDMPP_CHECK(ast.num_leaves == l);
-    for (int t = 0; t < l; ++t) {
-      float* row = x.Row(i * l + t);
-      const ComputationVector& cv = ast.leaves[static_cast<size_t>(t)];
-      for (int j = 0; j < kFeatDim; ++j) {
-        row[j] = cv[static_cast<size_t>(j)];
-      }
-      if (scaler != nullptr) {
-        scaler->ApplyRow(row);
-      }
-      if (use_pe) {
-        ComputationVector pe = PositionalEncoding(ast.ordering[static_cast<size_t>(t)], theta);
-        for (int j = 0; j < kFeatDim; ++j) {
-          row[j] += pe[static_cast<size_t>(j)];
-        }
-      }
-    }
-  }
-  return x;
-}
-
-Matrix BuildDeviceFeatureMatrix(const Dataset& ds, const Batch& batch) {
-  const int b = static_cast<int>(batch.sample_indices.size());
-  Matrix out(b, kDeviceFeatDim);
-  for (int i = 0; i < b; ++i) {
-    const Sample& s = ds.samples[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
-    std::vector<float> feats = ExtractDeviceFeatures(DeviceById(s.device_id));
-    for (int j = 0; j < kDeviceFeatDim; ++j) {
-      out.At(i, j) = feats[static_cast<size_t>(j)];
-    }
-  }
-  return out;
-}
-
 Matrix StackLeafRows(const Dataset& ds, const std::vector<int>& sample_indices) {
   size_t total_rows = 0;
   for (int idx : sample_indices) {
@@ -105,6 +63,29 @@ Matrix StackLeafRows(const Dataset& ds, const std::vector<int>& sample_indices) 
   return out;
 }
 
+AstBatchView DatasetView(const Dataset& ds) {
+  AstBatchView view;
+  view.asts.reserve(ds.samples.size());
+  view.device_ids.reserve(ds.samples.size());
+  for (const Sample& s : ds.samples) {
+    view.asts.push_back(&ds.programs[static_cast<size_t>(s.program_index)].ast);
+    view.device_ids.push_back(s.device_id);
+  }
+  return view;
+}
+
+AstBatchView DatasetView(const Dataset& ds, const std::vector<int>& sample_indices) {
+  AstBatchView view;
+  view.asts.reserve(sample_indices.size());
+  view.device_ids.reserve(sample_indices.size());
+  for (int idx : sample_indices) {
+    const Sample& s = ds.samples[static_cast<size_t>(idx)];
+    view.asts.push_back(&ds.programs[static_cast<size_t>(s.program_index)].ast);
+    view.device_ids.push_back(s.device_id);
+  }
+  return view;
+}
+
 std::map<int, std::vector<int>> GroupByLeafCount(const AstBatchView& view) {
   CDMPP_CHECK(view.asts.size() == view.device_ids.size());
   std::map<int, std::vector<int>> buckets;
@@ -113,13 +94,6 @@ std::map<int, std::vector<int>> GroupByLeafCount(const AstBatchView& view) {
     buckets[view.asts[i]->num_leaves].push_back(static_cast<int>(i));
   }
   return buckets;
-}
-
-Matrix BuildFeatureMatrix(const AstBatchView& view, const Batch& batch,
-                          const StandardScaler* scaler, bool use_pe, double theta) {
-  Matrix x(static_cast<int>(batch.sample_indices.size()) * batch.seq_len, kFeatDim);
-  BuildFeatureMatrixInto(view, batch, scaler, use_pe, theta, &x);
-  return x;
 }
 
 void BuildFeatureMatrixInto(const AstBatchView& view, const Batch& batch,
@@ -150,12 +124,6 @@ void BuildFeatureMatrixInto(const AstBatchView& view, const Batch& batch,
       }
     }
   }
-}
-
-Matrix BuildDeviceFeatureMatrix(const AstBatchView& view, const Batch& batch) {
-  Matrix out(static_cast<int>(batch.sample_indices.size()), kDeviceFeatDim);
-  BuildDeviceFeatureMatrixInto(view, batch, &out);
-  return out;
 }
 
 void BuildDeviceFeatureMatrixInto(const AstBatchView& view, const Batch& batch, Matrix* out) {

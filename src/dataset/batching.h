@@ -28,27 +28,16 @@ struct Batch {
 std::vector<Batch> MakeBatches(const std::map<int, std::vector<int>>& buckets, int batch_size,
                                Rng* rng);
 
-// Builds the [B * seq_len, kFeatDim] feature matrix for a batch: per-leaf
-// computation vectors standardized by `scaler` (may be null), then the
-// positional encoding added if `use_pe`.
-Matrix BuildFeatureMatrix(const Dataset& ds, const Batch& batch, const StandardScaler* scaler,
-                          bool use_pe, double theta = 10000.0);
-
-// Builds the [B, kDeviceFeatDim] device feature matrix for a batch.
-Matrix BuildDeviceFeatureMatrix(const Dataset& ds, const Batch& batch);
-
 // Stacks the raw (unscaled, no-PE) leaf rows of the given samples; used to
 // fit the feature scaler on training data.
 Matrix StackLeafRows(const Dataset& ds, const std::vector<int>& sample_indices);
 
-// ---- Batch-from-programs adapter (serving path, src/serve/) ----------------
+// ---- The batch view every forward pass reads ------------------------------
 //
-// The online serving layer batches free-standing (program, device) requests
-// that are not dataset samples. AstBatchView adapts a request list to the
-// same leaf-count-bucketed batching machinery: GroupByLeafCount buckets
-// *positions into the view*, MakeBatches chunks the buckets unchanged, and
-// the two matrix builders below mirror their Dataset counterparts row for
-// row, so batched serving reuses the exact feature layout of training.
+// AstBatchView adapts (AST, device) pairs — free-standing serving requests
+// or dataset samples — to the leaf-count-bucketed batching machinery:
+// batches hold *positions into the view*, and the two matrix builders below
+// produce the one feature layout training, evaluation and serving share.
 struct AstBatchView {
   std::vector<const CompactAst*> asts;  // non-owning, parallel to device_ids
   std::vector<int> device_ids;
@@ -56,18 +45,22 @@ struct AstBatchView {
   size_t size() const { return asts.size(); }
 };
 
+// Every sample of `ds`: position i is sample i, so dataset batches (sample
+// indices) address it directly.
+AstBatchView DatasetView(const Dataset& ds);
+// The given samples: position i is sample sample_indices[i].
+AstBatchView DatasetView(const Dataset& ds, const std::vector<int>& sample_indices);
+
 // Groups view positions [0, view.size()) by each AST's leaf count.
 std::map<int, std::vector<int>> GroupByLeafCount(const AstBatchView& view);
 
-// Feature matrix for a batch whose sample_indices are positions into `view`.
-Matrix BuildFeatureMatrix(const AstBatchView& view, const Batch& batch,
-                          const StandardScaler* scaler, bool use_pe, double theta = 10000.0);
-
-// Device feature matrix for a batch of view positions.
-Matrix BuildDeviceFeatureMatrix(const AstBatchView& view, const Batch& batch);
-
-// Allocation-free variants for the serving hot path: fill a caller-provided
-// matrix (e.g. from a Workspace arena) already sized to the expected shape.
+// Fill a caller-provided matrix (e.g. from a Workspace arena) already sized
+// to the expected shape, for a batch whose sample_indices are positions into
+// `view`:
+//   * x [B * seq_len, kFeatDim]: per-leaf computation vectors standardized
+//     by `scaler` (may be null), then the positional encoding added if
+//     `use_pe`;
+//   * out [B, kDeviceFeatDim]: device features.
 void BuildFeatureMatrixInto(const AstBatchView& view, const Batch& batch,
                             const StandardScaler* scaler, bool use_pe, double theta,
                             Matrix* x);

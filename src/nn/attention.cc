@@ -12,8 +12,8 @@ namespace {
 
 // Copies the [seq_len, d_head] block for (sample, head) out of a packed
 // [batch * seq_len, d_model] matrix into `out` (capacity-preserving resize:
-// the training loops reuse one hoisted block across every (sample, head)
-// instead of churning a heap temporary per iteration).
+// Backward reuses one hoisted block across every (sample, head) instead of
+// churning a heap temporary per iteration).
 void ExtractBlockInto(const Matrix& packed, int sample, int head, int seq_len, int d_head,
                       Matrix* out) {
   out->Resize(seq_len, d_head);
@@ -44,21 +44,23 @@ void AccumulateBlock(Matrix* packed, const Matrix& block, int sample, int head, 
 // q_all must already carry the folded 1/sqrt(d_head) softmax scale. Every
 // (sample, head) writes its own disjoint [seq_len, d_head] block of the
 // returned context, so no zero-fill or reduction is needed — and the blocks
-// split across cores. Each forked chunk leases a scores scratch arena from
-// the global WorkspacePool (the caller's `ws` stays single-owner);
-// per-element accumulation order inside each block is fixed by the kernels
-// regardless of partition, so the output is bitwise identical for every
-// thread count. Inner GEMMs of forked chunks run inline (nested ParallelFor
-// is serial), which the kernels' partition-independence keeps bitwise too.
+// split across cores. Each block's scores/softmax land in its own slice of
+// `probs` when the caller keeps them for Backward; otherwise each forked
+// chunk leases a scores scratch arena from the global WorkspacePool (the
+// caller's `ws` stays single-owner). Per-element accumulation order inside
+// each block is fixed by the kernels regardless of partition, so the output
+// is bitwise identical for every thread count. Inner GEMMs of forked chunks
+// run inline (nested ParallelFor is serial), which the kernels'
+// partition-independence keeps bitwise too.
 Matrix* AttentionContext(const Matrix& q_all, const Matrix& k_all, const Matrix& v_all,
                          int batch, int seq_len, int num_heads, int d_head, int d_model,
-                         Workspace* ws) {
+                         Matrix* probs, Workspace* ws) {
   Matrix* context = ws->NewMatrix(batch * seq_len, d_model);
   const int64_t blocks = static_cast<int64_t>(batch) * num_heads;
-  // One chunk of the block loop: scores is that chunk's private scratch; all
-  // other reads/writes are disjoint per block, so the arithmetic is the same
-  // whichever scratch backs it.
-  auto process = [&](Matrix* scores, int64_t i0, int64_t i1) {
+  // One chunk of the block loop: scratch is that chunk's private scores
+  // buffer (unused with `probs`); all other reads/writes are disjoint per
+  // block, so the arithmetic is the same whichever buffer backs it.
+  auto process = [&](float* scratch, int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       const int b = static_cast<int>(i / num_heads);
       const int h = static_cast<int>(i % num_heads);
@@ -66,13 +68,14 @@ Matrix* AttentionContext(const Matrix& q_all, const Matrix& k_all, const Matrix&
       const float* k = k_all.Row(b * seq_len) + h * d_head;
       const float* v = v_all.Row(b * seq_len) + h * d_head;
       float* ctx = context->Row(b * seq_len) + h * d_head;
+      float* scores = probs != nullptr ? probs->Row(static_cast<int>(i) * seq_len) : scratch;
       // scores = (Q/sqrt(d))·Kᵀ directly on the packed layout
       // (lda/ldb = d_model).
       kernels::GemmNT(seq_len, seq_len, d_head, q, d_model, k, d_model,
-                      /*beta=*/0.0f, scores->data(), seq_len);
-      SoftmaxRows(scores);
+                      /*beta=*/0.0f, scores, seq_len);
+      SoftmaxRows(scores, seq_len, seq_len);
       // context block = softmax(scores)·V, written in place.
-      kernels::GemmNN(seq_len, d_head, seq_len, scores->data(), seq_len, v, d_model,
+      kernels::GemmNN(seq_len, d_head, seq_len, scores, seq_len, v, d_model,
                       /*beta=*/0.0f, ctx, d_model);
     }
   };
@@ -80,18 +83,19 @@ Matrix* AttentionContext(const Matrix& q_all, const Matrix& k_all, const Matrix&
   const double flops =
       4.0 * static_cast<double>(blocks) * seq_len * static_cast<double>(seq_len) * d_head;
   ThreadPool& pool = ThreadPool::Global();
-  if (WorthForking(pool, blocks, flops)) {
-    // Forked: each chunk leases its scores scratch from the global pool (the
-    // caller's `ws` stays single-owner).
-    pool.ParallelForWithScratch(WorkspacePool::Global(), 0, blocks, ParallelGrain(blocks),
-                                [&](Workspace* scratch, int64_t i0, int64_t i1) {
-                                  process(scratch->NewMatrix(seq_len, seq_len), i0, i1);
-                                });
-  } else {
+  if (!WorthForking(pool, blocks, flops)) {
     // Serial: scores from the caller's arena, zero synchronization — the
     // QPS-bound many-worker configuration (CDMPP_NUM_THREADS=1) never
     // touches the pool mutex.
-    process(ws->NewMatrix(seq_len, seq_len), 0, blocks);
+    process(probs != nullptr ? nullptr : ws->NewMatrix(seq_len, seq_len)->data(), 0, blocks);
+  } else if (probs != nullptr) {
+    pool.ParallelFor(0, blocks, ParallelGrain(blocks),
+                     [&](int64_t i0, int64_t i1) { process(nullptr, i0, i1); });
+  } else {
+    pool.ParallelForWithScratch(WorkspacePool::Global(), 0, blocks, ParallelGrain(blocks),
+                                [&](Workspace* scratch, int64_t i0, int64_t i1) {
+                                  process(scratch->NewMatrix(seq_len, seq_len)->data(), i0, i1);
+                                });
   }
   return context;
 }
@@ -107,58 +111,8 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int d_model, int num_heads, Rng* 
   wo_ = std::make_unique<Linear>(d_model, d_model, rng);
 }
 
-Matrix MultiHeadSelfAttention::Forward(const Matrix& x, int seq_len) {
-  CDMPP_CHECK(seq_len > 0);
-  CDMPP_CHECK(x.rows() % seq_len == 0);
-  CDMPP_CHECK(x.cols() == d_model_);
-  cached_seq_len_ = seq_len;
-  cached_batch_ = x.rows() / seq_len;
-
-  cached_q_ = wq_->Forward(x);
-  cached_k_ = wk_->Forward(x);
-  cached_v_ = wv_->Forward(x);
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
-  Matrix context(x.rows(), d_model_);
-  // resize (not assign) keeps the per-(sample, head) attention matrices'
-  // capacity across steps; softmax weights are computed straight into them.
-  cached_attn_.resize(static_cast<size_t>(cached_batch_) * num_heads_);
-  Matrix q, k, v, out;  // hoisted block scratch, reused across the loop
-  for (int b = 0; b < cached_batch_; ++b) {
-    for (int h = 0; h < num_heads_; ++h) {
-      ExtractBlockInto(cached_q_, b, h, seq_len, d_head_, &q);
-      // The 1/sqrt(d_head) softmax scale is folded into the Q operand — one
-      // pass over a [L, d_head] block instead of a [L, L] scores pass. The
-      // inference path pins the identical formulation, so Forward and
-      // ForwardInference stay bitwise equal. cached_q_ stays unscaled;
-      // Backward's dscores.Scale(scale) already accounts for the factor on
-      // both the dq and dk sides.
-      q.Scale(scale);
-      ExtractBlockInto(cached_k_, b, h, seq_len, d_head_, &k);
-      ExtractBlockInto(cached_v_, b, h, seq_len, d_head_, &v);
-      Matrix& attn = cached_attn_[static_cast<size_t>(b) * num_heads_ + h];
-      attn.Resize(seq_len, seq_len);
-      kernels::GemmNT(seq_len, seq_len, d_head_, q.data(), d_head_, k.data(), d_head_,
-                      /*beta=*/0.0f, attn.data(), seq_len);
-      SoftmaxRows(&attn);
-      out.Resize(seq_len, d_head_);
-      kernels::GemmNN(seq_len, d_head_, seq_len, attn.data(), seq_len, v.data(), d_head_,
-                      /*beta=*/0.0f, out.data(), d_head_);
-      AccumulateBlock(&context, out, b, h, seq_len, d_head_);
-    }
-  }
-  return wo_->Forward(context);
-}
-
-Matrix MultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len) const {
-  // True wrapper over the arena path: one attention-inference implementation
-  // to keep bitwise-consistent (see src/nn/layers.h).
-  Workspace ws;
-  return *ForwardInference(x, seq_len, &ws);
-}
-
-Matrix* MultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len,
-                                                 Workspace* ws) const {
+Matrix* MultiHeadSelfAttention::Forward(const Matrix& x, int seq_len, Workspace* ws,
+                                        Cache* cache) const {
   // Whole-call wall time on the calling thread, forked chunks included — the
   // span never reaches into the parallel region, so chunk scheduling and the
   // bitwise thread-count invariance are unaffected. No-op unless the serving
@@ -168,18 +122,30 @@ Matrix* MultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len,
   CDMPP_CHECK(x.rows() % seq_len == 0);
   CDMPP_CHECK(x.cols() == d_model_);
   const int batch = x.rows() / seq_len;
+  const bool train = cache != nullptr;
 
-  Matrix* q_all = wq_->ForwardInference(x, ws);
-  Matrix* k_all = wk_->ForwardInference(x, ws);
-  Matrix* v_all = wv_->ForwardInference(x, ws);
+  Matrix* q_all = wq_->Forward(x, ws, train ? &cache->q_proj : nullptr);
+  Matrix* k_all = wk_->Forward(x, ws, train ? &cache->k_proj : nullptr);
+  Matrix* v_all = wv_->Forward(x, ws, train ? &cache->v_proj : nullptr);
 
-  // Softmax scale folded into the Q operand (see Forward).
+  // The 1/sqrt(d_head) softmax scale is folded into the Q operand — one pass
+  // over [rows, d_model] instead of a [L, L] pass per block. Training keeps
+  // the cached Q unscaled (Backward's dscores.Scale(scale) carries the factor
+  // to both dq and dk), so it scales a copy.
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
-  q_all->Scale(scale);
+  Matrix* q_scaled = q_all;
+  if (train) {
+    q_scaled = ws->NewMatrix(q_all->rows(), q_all->cols());
+    std::copy(q_all->data(), q_all->data() + q_all->size(), q_scaled->data());
+    cache->probs = ws->NewMatrix(batch * num_heads_ * seq_len, seq_len);
+    cache->seq_len = seq_len;
+    cache->batch = batch;
+  }
+  q_scaled->Scale(scale);
 
-  Matrix* context =
-      AttentionContext(*q_all, *k_all, *v_all, batch, seq_len, num_heads_, d_head_, d_model_, ws);
-  return wo_->ForwardInference(*context, ws);
+  Matrix* context = AttentionContext(*q_scaled, *k_all, *v_all, batch, seq_len, num_heads_,
+                                     d_head_, d_model_, train ? cache->probs : nullptr, ws);
+  return wo_->Forward(*context, ws, train ? &cache->out_proj : nullptr);
 }
 
 QuantizedMultiHeadSelfAttention::QuantizedMultiHeadSelfAttention(
@@ -214,8 +180,8 @@ QuantizedMultiHeadSelfAttention::QuantizedMultiHeadSelfAttention(
   }
 }
 
-Matrix* QuantizedMultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len,
-                                                          Workspace* ws) const {
+Matrix* QuantizedMultiHeadSelfAttention::Forward(const Matrix& x, int seq_len,
+                                                 Workspace* ws) const {
   // Same span discipline as the fp32 path: whole-call wall time on the
   // calling thread, never reaching into the parallel region.
   obs::ScopedSpan span(obs::Stage::kAttention);
@@ -247,9 +213,9 @@ Matrix* QuantizedMultiHeadSelfAttention::ForwardInference(const Matrix& x, int s
     k_all = qkv_[1].ForwardPreQuantized(m, qx, ldq, row_scales->data(), ws);
     v_all = qkv_[2].ForwardPreQuantized(m, qx, ldq, row_scales->data(), ws);
   } else {
-    q_all = fp32_qkv_[0].ForwardInference(x, ws);
-    k_all = fp32_qkv_[1].ForwardInference(x, ws);
-    v_all = fp32_qkv_[2].ForwardInference(x, ws);
+    q_all = fp32_qkv_[0].Forward(x, ws);
+    k_all = fp32_qkv_[1].Forward(x, ws);
+    v_all = fp32_qkv_[2].Forward(x, ws);
   }
 
   // Softmax scale folded into the (dequantized fp32) Q operand, identical
@@ -257,16 +223,19 @@ Matrix* QuantizedMultiHeadSelfAttention::ForwardInference(const Matrix& x, int s
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
   q_all->Scale(scale);
 
-  Matrix* context =
-      AttentionContext(*q_all, *k_all, *v_all, batch, seq_len, num_heads_, d_head_, d_model_, ws);
-  return wo_.ForwardInference(*context, ws);
+  Matrix* context = AttentionContext(*q_all, *k_all, *v_all, batch, seq_len, num_heads_,
+                                     d_head_, d_model_, /*probs=*/nullptr, ws);
+  return wo_.Forward(*context, ws);
 }
 
-Matrix MultiHeadSelfAttention::Backward(const Matrix& dy) {
-  const int seq_len = cached_seq_len_;
+Matrix MultiHeadSelfAttention::Backward(const Cache& cache, const Matrix& dy) {
+  const int seq_len = cache.seq_len;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
+  const Matrix& q_all = *cache.q_proj.y;  // unscaled
+  const Matrix& k_all = *cache.k_proj.y;
+  const Matrix& v_all = *cache.v_proj.y;
 
-  Matrix dcontext = wo_->Backward(dy);
+  Matrix dcontext = wo_->Backward(cache.out_proj, dy);
   Matrix dq(dy.rows(), d_model_);
   Matrix dk(dy.rows(), d_model_);
   Matrix dv(dy.rows(), d_model_);
@@ -274,12 +243,12 @@ Matrix MultiHeadSelfAttention::Backward(const Matrix& dy) {
   // Hoisted block scratch, reused across every (sample, head).
   Matrix q, k, v, dout;
   Matrix dattn, dv_block, dscores, dq_block, dk_block;
-  for (int b = 0; b < cached_batch_; ++b) {
+  for (int b = 0; b < cache.batch; ++b) {
     for (int h = 0; h < num_heads_; ++h) {
-      const Matrix& attn = cached_attn_[static_cast<size_t>(b) * num_heads_ + h];
-      ExtractBlockInto(cached_q_, b, h, seq_len, d_head_, &q);
-      ExtractBlockInto(cached_k_, b, h, seq_len, d_head_, &k);
-      ExtractBlockInto(cached_v_, b, h, seq_len, d_head_, &v);
+      const float* attn = cache.probs->Row((b * num_heads_ + h) * seq_len);
+      ExtractBlockInto(q_all, b, h, seq_len, d_head_, &q);
+      ExtractBlockInto(k_all, b, h, seq_len, d_head_, &k);
+      ExtractBlockInto(v_all, b, h, seq_len, d_head_, &v);
       ExtractBlockInto(dcontext, b, h, seq_len, d_head_, &dout);
 
       // out = attn x v.
@@ -287,23 +256,24 @@ Matrix MultiHeadSelfAttention::Backward(const Matrix& dy) {
       kernels::GemmNT(seq_len, seq_len, d_head_, dout.data(), d_head_, v.data(), d_head_,
                       /*beta=*/0.0f, dattn.data(), seq_len);
       dv_block.Resize(seq_len, d_head_);
-      kernels::GemmTN(seq_len, d_head_, seq_len, attn.data(), seq_len, dout.data(), d_head_,
+      kernels::GemmTN(seq_len, d_head_, seq_len, attn, seq_len, dout.data(), d_head_,
                       /*beta=*/0.0f, dv_block.data(), d_head_);
 
       // Softmax backward: ds = attn * (dattn - rowsum(dattn * attn)).
       dscores.Resize(seq_len, seq_len);
       for (int i = 0; i < seq_len; ++i) {
+        const float* arow = attn + static_cast<size_t>(i) * seq_len;
         float dot = 0.0f;
         for (int j = 0; j < seq_len; ++j) {
-          dot += dattn.At(i, j) * attn.At(i, j);
+          dot += dattn.At(i, j) * arow[j];
         }
         for (int j = 0; j < seq_len; ++j) {
-          dscores.At(i, j) = attn.At(i, j) * (dattn.At(i, j) - dot);
+          dscores.At(i, j) = arow[j] * (dattn.At(i, j) - dot);
         }
       }
       dscores.Scale(scale);
 
-      // scores = (q * scale) x k^T; cached_q_ is unscaled, the Scale above
+      // scores = (q * scale) x k^T; the cached q is unscaled, the Scale above
       // carries the factor to both dq and dk.
       dq_block.Resize(seq_len, d_head_);
       kernels::GemmNN(seq_len, d_head_, seq_len, dscores.data(), seq_len, k.data(), d_head_,
@@ -318,9 +288,9 @@ Matrix MultiHeadSelfAttention::Backward(const Matrix& dy) {
     }
   }
 
-  Matrix dx = wq_->Backward(dq);
-  dx.AddInPlace(wk_->Backward(dk));
-  dx.AddInPlace(wv_->Backward(dv));
+  Matrix dx = wq_->Backward(cache.q_proj, dq);
+  dx.AddInPlace(wk_->Backward(cache.k_proj, dk));
+  dx.AddInPlace(wv_->Backward(cache.v_proj, dv));
   return dx;
 }
 

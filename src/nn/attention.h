@@ -19,20 +19,28 @@ class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(int d_model, int num_heads, Rng* rng);
 
-  // x: [batch * seq_len, d_model]. Returns the same shape.
-  Matrix Forward(const Matrix& x, int seq_len);
-  // Cache-free const forward (see src/nn/layers.h); attention weights are
-  // computed into locals and discarded.
-  Matrix ForwardInference(const Matrix& x, int seq_len) const;
-  // Hot path: per-head Q/K/V blocks are addressed in place inside the packed
-  // [batch*seq_len, d_model] activations via the kernels' leading-dimension
-  // parameters — zero block extraction copies. The per-(sample, head) blocks
-  // split across cores (each writes a disjoint context block; chunks lease
-  // scores scratch from WorkspacePool::Global()), and the output is bitwise
-  // identical for every CDMPP_NUM_THREADS value. Layer-owned scratch comes
-  // from `ws`, which stays single-owner.
-  Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
-  Matrix Backward(const Matrix& dy);
+  // What Backward needs. The projections' caches hold Q (unscaled), K and V
+  // as their outputs; `probs` holds every (sample, head) block's [seq_len,
+  // seq_len] softmax weights, block i = sample * num_heads + head at rows
+  // [i * seq_len, (i + 1) * seq_len).
+  struct Cache {
+    Linear::Cache q_proj, k_proj, v_proj, out_proj;
+    Matrix* probs = nullptr;
+    int seq_len = 0;
+    int batch = 0;
+  };
+
+  // x: [batch * seq_len, d_model]. Returns the same shape. Per-head Q/K/V
+  // blocks are addressed in place inside the packed [batch*seq_len, d_model]
+  // activations via the kernels' leading-dimension parameters — zero block
+  // extraction copies. The per-(sample, head) blocks split across cores
+  // (each writes a disjoint context block; without a cache, chunks lease
+  // scores scratch from WorkspacePool::Global(), with one they write their
+  // own slice of `probs`), and the output is bitwise identical for every
+  // CDMPP_NUM_THREADS value. Layer-owned tensors come from `ws`, which stays
+  // single-owner.
+  Matrix* Forward(const Matrix& x, int seq_len, Workspace* ws, Cache* cache = nullptr) const;
+  Matrix Backward(const Cache& cache, const Matrix& dy);
   void CollectParams(std::vector<Param*>* out) override;
 
   int d_model() const { return d_model_; }
@@ -52,11 +60,6 @@ class MultiHeadSelfAttention : public Module {
   int d_head_;
   std::unique_ptr<Linear> wq_, wk_, wv_, wo_;
 
-  // Forward caches.
-  int cached_seq_len_ = 0;
-  int cached_batch_ = 0;
-  Matrix cached_q_, cached_k_, cached_v_;
-  std::vector<Matrix> cached_attn_;  // per (sample, head): [L, L] softmax weights
 };
 
 // The int8 mirror of MultiHeadSelfAttention for the serving hot path
@@ -84,15 +87,15 @@ class MultiHeadSelfAttention : public Module {
 // channel profile is data-dependent, and its noise enters post-softmax.
 //
 // Calibrated, immutable snapshot: construction is mutating-world only,
-// ForwardInference is const and thread-safe for concurrent readers.
+// Forward is const and thread-safe for concurrent readers.
 class QuantizedMultiHeadSelfAttention {
  public:
   QuantizedMultiHeadSelfAttention(const MultiHeadSelfAttention& attn,
                                   const std::vector<float>& act_absmax);
 
   // x: [batch * seq_len, d_model]; same contract and parallel structure as
-  // the fp32 arena ForwardInference.
-  Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
+  // the fp32 inference Forward.
+  Matrix* Forward(const Matrix& x, int seq_len, Workspace* ws) const;
 
   int d_model() const { return d_model_; }
 

@@ -1,6 +1,5 @@
 #include "src/nn/layers.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/obs/trace.h"
@@ -15,94 +14,44 @@ Linear::Linear(int in_dim, int out_dim, Rng* rng) {
   b_.InitZero(1, out_dim);
 }
 
-void Linear::ApplyLinear(const Matrix& x, kernels::Activation act, Matrix* y) const {
+Matrix* Linear::Forward(const Matrix& x, Workspace* ws, Cache* cache,
+                       kernels::Activation act) const {
   CDMPP_CHECK(x.cols() == w_.value.rows());
+  Matrix* y = ws->NewMatrix(x.rows(), w_.value.cols());
   kernels::GemmBiasAct(x.rows(), y->cols(), x.cols(), x.data(), x.cols(), w_.value.data(),
                        w_.value.cols(), b_.value.data(), act, y->data(), y->cols());
-}
-
-Matrix Linear::Forward(const Matrix& x) {
-  cached_x_ = x;
-  Matrix y(x.rows(), w_.value.cols());
-  ApplyLinear(x, kernels::Activation::kNone, &y);
+  if (cache != nullptr) {
+    *cache = Cache{&x, y, act};
+  }
   return y;
 }
 
-Matrix Linear::ForwardInference(const Matrix& x) const {
-  Workspace ws;
-  return *ForwardInference(x, &ws);
-}
-
-Matrix* Linear::ForwardInference(const Matrix& x, Workspace* ws,
-                                 kernels::Activation act) const {
-  Matrix* y = ws->NewMatrix(x.rows(), w_.value.cols());
-  ApplyLinear(x, act, y);
-  return y;
-}
-
-Matrix Linear::Backward(const Matrix& dy) {
-  CDMPP_CHECK(dy.rows() == cached_x_.rows() && dy.cols() == w_.value.cols());
-  // w_.grad += xᵀ·dy as a single beta=1 accumulate — no gradient temporary.
-  kernels::GemmTN(w_.grad.rows(), w_.grad.cols(), dy.rows(), cached_x_.data(),
-                  cached_x_.cols(), dy.data(), dy.cols(), /*beta=*/1.0f, w_.grad.data(),
-                  w_.grad.cols());
-  b_.grad.AddInPlace(ColumnSum(dy));
-  return MatMulTransB(dy, w_.value);
+Matrix Linear::Backward(const Cache& cache, const Matrix& dy) {
+  const Matrix& x = *cache.x;
+  CDMPP_CHECK(dy.rows() == x.rows() && dy.cols() == w_.value.cols());
+  const Matrix* d = &dy;
+  Matrix masked;
+  if (cache.act == kernels::Activation::kRelu) {
+    // The fused ReLU's backward: y > 0 exactly where its input was > 0.
+    masked = dy;
+    const float* y = cache.y->data();
+    for (size_t i = 0; i < masked.size(); ++i) {
+      if (y[i] <= 0.0f) {
+        masked.data()[i] = 0.0f;
+      }
+    }
+    d = &masked;
+  }
+  // w_.grad += xᵀ·d as a single beta=1 accumulate — no gradient temporary.
+  kernels::GemmTN(w_.grad.rows(), w_.grad.cols(), d->rows(), x.data(), x.cols(), d->data(),
+                  d->cols(), /*beta=*/1.0f, w_.grad.data(), w_.grad.cols());
+  b_.grad.AddInPlace(ColumnSum(*d));
+  return MatMulTransB(*d, w_.value);
 }
 
 void Linear::CollectParams(std::vector<Param*>* out) {
   out->push_back(&w_);
   out->push_back(&b_);
-}
-
-// ---------------- Relu ----------------
-
-Matrix Relu::Forward(const Matrix& x) {
-  cached_x_ = x;
-  return ForwardInference(x);
-}
-
-Matrix Relu::ForwardInference(const Matrix& x) const {
-  Workspace ws;
-  return *ForwardInference(x, &ws);
-}
-
-Matrix* Relu::ForwardInference(const Matrix& x, Workspace* ws) const {
-  Matrix* y = ws->NewMatrix(x.rows(), x.cols());
-  const float* src = x.data();
-  float* dst = y->data();
-  const int64_t total = static_cast<int64_t>(x.size());
-  // Elementwise with disjoint writes: the chunk partition cannot change any
-  // value, so splitting across cores keeps the bitwise contract for free. A
-  // clamp is memory-bound — weigh each element at ~4 work units (2 floats
-  // streamed) against the shared fork policy, so only panels too big for one
-  // core's cache fork.
-  auto clamp_range = [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      dst[i] = std::max(0.0f, src[i]);
-    }
-  };
-  if (WorthForking(ThreadPool::Global(), total, 4.0 * static_cast<double>(total))) {
-    ParallelFor(0, total, ParallelGrain(total), clamp_range);
-  } else {
-    clamp_range(0, total);
-  }
-  return y;
-}
-
-Matrix Relu::Backward(const Matrix& dy) {
-  CDMPP_CHECK(dy.rows() == cached_x_.rows() && dy.cols() == cached_x_.cols());
-  Matrix dx = dy;
-  for (int i = 0; i < dx.rows(); ++i) {
-    float* drow = dx.Row(i);
-    const float* xrow = cached_x_.Row(i);
-    for (int j = 0; j < dx.cols(); ++j) {
-      if (xrow[j] <= 0.0f) {
-        drow[j] = 0.0f;
-      }
-    }
-  }
-  return dx;
 }
 
 // ---------------- LayerNorm ----------------
@@ -115,44 +64,13 @@ LayerNorm::LayerNorm(int dim) {
   beta_.InitZero(1, dim);
 }
 
-Matrix LayerNorm::Forward(const Matrix& x) {
-  const int n = x.rows();
-  const int d = x.cols();
-  cached_norm_ = Matrix(n, d);
-  cached_inv_std_.assign(static_cast<size_t>(n), 0.0f);
-  Matrix y(n, d);
-  for (int i = 0; i < n; ++i) {
-    const float* row = x.Row(i);
-    float mean = 0.0f;
-    for (int j = 0; j < d; ++j) {
-      mean += row[j];
-    }
-    mean /= static_cast<float>(d);
-    float var = 0.0f;
-    for (int j = 0; j < d; ++j) {
-      var += (row[j] - mean) * (row[j] - mean);
-    }
-    var /= static_cast<float>(d);
-    float inv_std = 1.0f / std::sqrt(var + kEps);
-    cached_inv_std_[static_cast<size_t>(i)] = inv_std;
-    float* nrow = cached_norm_.Row(i);
-    float* yrow = y.Row(i);
-    for (int j = 0; j < d; ++j) {
-      nrow[j] = (row[j] - mean) * inv_std;
-      yrow[j] = nrow[j] * gamma_.value.At(0, j) + beta_.value.At(0, j);
-    }
-  }
-  return y;
-}
-
 namespace {
 
-// The single copy of the inference-normalization loop, shared by both
-// ForwardInference overloads so they stay bitwise-consistent. Rows are
-// independent, so batch rows split across cores; tiny inputs stay serial
-// (ParallelFor also runs inline when the range fits one chunk).
+// Rows are independent, so batch rows split across cores; tiny inputs stay
+// serial (ParallelFor also runs inline when the range fits one chunk). With
+// a cache, the normalized rows and 1/std are recorded for Backward.
 void LayerNormRowsInto(const Matrix& x, const float* gamma, const float* beta, float eps,
-                       Matrix* y) {
+                       Matrix* y, LayerNorm::Cache* cache) {
   const int n = x.rows();
   const int d = x.cols();
   auto normalize_rows = [&](int64_t r0, int64_t r1) {
@@ -169,6 +87,13 @@ void LayerNormRowsInto(const Matrix& x, const float* gamma, const float* beta, f
       }
       var /= static_cast<float>(d);
       const float inv_std = 1.0f / std::sqrt(var + eps);
+      if (cache != nullptr) {
+        cache->inv_std->At(static_cast<int>(i), 0) = inv_std;
+        float* nrow = cache->norm->Row(static_cast<int>(i));
+        for (int j = 0; j < d; ++j) {
+          nrow[j] = (row[j] - mean) * inv_std;
+        }
+      }
       float* yrow = y->Row(static_cast<int>(i));
       for (int j = 0; j < d; ++j) {
         yrow[j] = (row[j] - mean) * inv_std * gamma[j] + beta[j];
@@ -186,29 +111,28 @@ void LayerNormRowsInto(const Matrix& x, const float* gamma, const float* beta, f
 
 }  // namespace
 
-Matrix LayerNorm::ForwardInference(const Matrix& x) const {
-  Workspace ws;
-  return *ForwardInference(x, &ws);
-}
-
-Matrix* LayerNorm::ForwardInference(const Matrix& x, Workspace* ws) const {
+Matrix* LayerNorm::Forward(const Matrix& x, Workspace* ws, Cache* cache) const {
   // Nests under the encoder span when a sampled trace is bound; no-op (one
   // thread-local load) otherwise.
   obs::ScopedSpan span(obs::Stage::kLayerNorm);
   Matrix* y = ws->NewMatrix(x.rows(), x.cols());
-  LayerNormRowsInto(x, gamma_.value.Row(0), beta_.value.Row(0), kEps, y);
+  if (cache != nullptr) {
+    cache->norm = ws->NewMatrix(x.rows(), x.cols());
+    cache->inv_std = ws->NewMatrix(x.rows(), 1);
+  }
+  LayerNormRowsInto(x, gamma_.value.Row(0), beta_.value.Row(0), kEps, y, cache);
   return y;
 }
 
-Matrix LayerNorm::Backward(const Matrix& dy) {
+Matrix LayerNorm::Backward(const Cache& cache, const Matrix& dy) {
   const int n = dy.rows();
   const int d = dy.cols();
-  CDMPP_CHECK(n == cached_norm_.rows() && d == cached_norm_.cols());
+  CDMPP_CHECK(n == cache.norm->rows() && d == cache.norm->cols());
   Matrix dx(n, d);
   for (int i = 0; i < n; ++i) {
     const float* dyrow = dy.Row(i);
-    const float* nrow = cached_norm_.Row(i);
-    float inv_std = cached_inv_std_[static_cast<size_t>(i)];
+    const float* nrow = cache.norm->Row(i);
+    float inv_std = cache.inv_std->At(i, 0);
     // dnorm = dy * gamma; dx = inv_std * (dnorm - mean(dnorm) - norm * mean(dnorm*norm)).
     float mean_dn = 0.0f;
     float mean_dn_n = 0.0f;
@@ -242,44 +166,27 @@ Mlp::Mlp(const std::vector<int>& dims, Rng* rng) {
   for (size_t i = 0; i + 1 < dims.size(); ++i) {
     linears_.push_back(std::make_unique<Linear>(dims[i], dims[i + 1], rng));
   }
-  relus_.resize(linears_.size() - 1);
 }
 
-Matrix Mlp::Forward(const Matrix& x) {
-  Matrix h = x;
-  for (size_t i = 0; i < linears_.size(); ++i) {
-    h = linears_[i]->Forward(h);
-    if (i + 1 < linears_.size()) {
-      h = relus_[i].Forward(h);
-    }
+Matrix* Mlp::Forward(const Matrix& x, Workspace* ws, Cache* cache) const {
+  if (cache != nullptr) {
+    cache->layers.resize(linears_.size());
   }
-  return h;
-}
-
-Matrix Mlp::ForwardInference(const Matrix& x) const {
-  Workspace ws;
-  return *ForwardInference(x, &ws);
-}
-
-Matrix* Mlp::ForwardInference(const Matrix& x, Workspace* ws) const {
   const Matrix* h = &x;
   Matrix* out = nullptr;
   for (size_t i = 0; i < linears_.size(); ++i) {
     const bool hidden = i + 1 < linears_.size();
-    out = linears_[i]->ForwardInference(
-        *h, ws, hidden ? kernels::Activation::kRelu : kernels::Activation::kNone);
+    out = linears_[i]->Forward(*h, ws, cache != nullptr ? &cache->layers[i] : nullptr,
+                               hidden ? kernels::Activation::kRelu : kernels::Activation::kNone);
     h = out;
   }
   return out;
 }
 
-Matrix Mlp::Backward(const Matrix& dy) {
+Matrix Mlp::Backward(const Cache& cache, const Matrix& dy) {
   Matrix d = dy;
   for (size_t i = linears_.size(); i-- > 0;) {
-    if (i + 1 < linears_.size()) {
-      d = relus_[i].Backward(d);
-    }
-    d = linears_[i]->Backward(d);
+    d = linears_[i]->Backward(cache.layers[i], d);
   }
   return d;
 }

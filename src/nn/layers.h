@@ -1,27 +1,22 @@
 // Basic trainable layers with manual forward/backward passes.
 //
-// Convention: Forward caches whatever the matching Backward needs; Backward
-// takes dLoss/dOutput, *accumulates* parameter gradients, and returns
-// dLoss/dInput. Call ZeroGrad between steps.
+// Every layer has exactly ONE forward: a const
 //
-// Every layer also exposes ForwardInference: a const forward pass that writes
-// no caches and touches no mutable state, computing bitwise-identical outputs
-// to Forward. Any number of threads may call ForwardInference concurrently on
-// a shared layer as long as no thread mutates parameters at the same time —
-// this is the serving hot path (src/serve/).
+//   Matrix* Forward(x, [seq_len,] Workspace* ws, Cache* cache = nullptr)
 //
-// ForwardInference comes in two flavors:
-//   * Matrix* ForwardInference(x, Workspace*): the hot path. Output and all
-//     intermediates live in the caller's Workspace arena (valid until its
-//     Reset()), so steady-state passes perform zero heap allocations. Each
-//     thread needs its own Workspace.
-//   * Matrix ForwardInference(x): convenience overload, same values. For the
-//     composite layers (Mlp, attention, transformer) it is a true wrapper
-//     that runs the arena path on a scratch Workspace and copies the result
-//     out — there is exactly ONE inference implementation per layer to keep
-//     bitwise-consistent. The primitive layers (Linear, Relu, LayerNorm)
-//     share their single kernel call / loop between both overloads instead,
-//     avoiding the scratch arena.
+// whose output and intermediates live in the caller's Workspace arena (valid
+// until its Reset()), so warm passes perform zero heap allocations. Each
+// thread needs its own Workspace. A null `cache` is inference: the pass
+// writes no state, and any number of threads may run it concurrently on a
+// shared layer as long as no thread mutates parameters at the same time —
+// this is the serving hot path (src/serve/). A non-null `cache` is training:
+// the pass records what the matching Backward(cache, dy) needs — pointers
+// into the arena, so Backward must run before the arena is Reset(). A cache
+// never changes the computed values: with and without one, Forward is
+// bitwise identical.
+//
+// Backward takes the cache and dLoss/dOutput, *accumulates* parameter
+// gradients, and returns dLoss/dInput. Call ZeroGrad between steps.
 #ifndef SRC_NN_LAYERS_H_
 #define SRC_NN_LAYERS_H_
 
@@ -74,19 +69,25 @@ class Module {
   }
 };
 
-// y = x W + b, x: [N, in], W: [in, out].
+// y = act(x W + b), x: [N, in], W: [in, out].
 class Linear : public Module {
  public:
   Linear(int in_dim, int out_dim, Rng* rng);
 
-  Matrix Forward(const Matrix& x);
-  Matrix ForwardInference(const Matrix& x) const;
-  // Hot path: y = act(x W + b) in one fused kernel pass (the epilogue runs
-  // while the accumulator tile is still in registers). kNone reproduces the
-  // plain layer; kRelu folds a following Relu away.
-  Matrix* ForwardInference(const Matrix& x, Workspace* ws,
-                           kernels::Activation act = kernels::Activation::kNone) const;
-  Matrix Backward(const Matrix& dy);
+  // What Backward needs: the input, and the output, which masks a fused ReLU
+  // (y > 0 exactly where x W + b > 0). Both point at the pass's tensors: x
+  // must stay unchanged until Backward, and y too when act is kRelu.
+  struct Cache {
+    const Matrix* x = nullptr;
+    const Matrix* y = nullptr;
+    kernels::Activation act = kernels::Activation::kNone;
+  };
+
+  // y = act(x W + b) in one fused kernel pass (the epilogue runs while the
+  // accumulator tile is still in registers). kRelu is the layer's ReLU.
+  Matrix* Forward(const Matrix& x, Workspace* ws, Cache* cache = nullptr,
+                  kernels::Activation act = kernels::Activation::kNone) const;
+  Matrix Backward(const Cache& cache, const Matrix& dy);
   void CollectParams(std::vector<Param*>* out) override;
 
   int in_dim() const { return w_.value.rows(); }
@@ -98,28 +99,8 @@ class Linear : public Module {
   const Matrix& bias() const { return b_.value; }
 
  private:
-  // The one fused-kernel invocation all three forward entry points share:
-  // y = act(x W + b) written into the caller-sized output.
-  void ApplyLinear(const Matrix& x, kernels::Activation act, Matrix* y) const;
-
   Param w_;
   Param b_;
-  Matrix cached_x_;
-};
-
-// Elementwise max(0, x).
-class Relu : public Module {
- public:
-  Matrix Forward(const Matrix& x);
-  Matrix ForwardInference(const Matrix& x) const;
-  // Hot path; large panels split elementwise across cores (bitwise identical
-  // for every thread count — the clamp is elementwise with disjoint writes).
-  Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
-  Matrix Backward(const Matrix& dy);
-  void CollectParams(std::vector<Param*>*) override {}
-
- private:
-  Matrix cached_x_;
 };
 
 // Per-row layer normalization with learnable gamma/beta.
@@ -127,11 +108,14 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(int dim);
 
-  Matrix Forward(const Matrix& x);
-  Matrix ForwardInference(const Matrix& x) const;
-  // Hot path; rows are split across cores via ParallelFor for large batches.
-  Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
-  Matrix Backward(const Matrix& dy);
+  struct Cache {
+    Matrix* norm = nullptr;     // normalized activations (pre gamma/beta)
+    Matrix* inv_std = nullptr;  // [N, 1]
+  };
+
+  // Rows are split across cores via ParallelFor for large batches.
+  Matrix* Forward(const Matrix& x, Workspace* ws, Cache* cache = nullptr) const;
+  Matrix Backward(const Cache& cache, const Matrix& dy);
   void CollectParams(std::vector<Param*>* out) override;
 
   // Read-only parameter views: the int8 calibration path derives data-free
@@ -144,8 +128,6 @@ class LayerNorm : public Module {
   static constexpr float kEps = 1e-5f;
   Param gamma_;
   Param beta_;
-  Matrix cached_norm_;     // normalized activations (pre gamma/beta)
-  std::vector<float> cached_inv_std_;
 };
 
 // Multi-layer perceptron: Linear -> ReLU repeated, final Linear (no ReLU).
@@ -154,11 +136,13 @@ class Mlp : public Module {
   // dims = {in, h1, ..., out}. Requires at least {in, out}.
   Mlp(const std::vector<int>& dims, Rng* rng);
 
-  Matrix Forward(const Matrix& x);
-  Matrix ForwardInference(const Matrix& x) const;
-  // Hot path: each hidden Linear+ReLU pair runs as one fused kernel call.
-  Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
-  Matrix Backward(const Matrix& dy);
+  struct Cache {
+    std::vector<Linear::Cache> layers;  // resized in place: no warm allocation
+  };
+
+  // Each hidden Linear+ReLU pair runs as one fused kernel call.
+  Matrix* Forward(const Matrix& x, Workspace* ws, Cache* cache = nullptr) const;
+  Matrix Backward(const Cache& cache, const Matrix& dy);
   void CollectParams(std::vector<Param*>* out) override;
 
   // Read-only layer views for the int8 calibration path.
@@ -167,7 +151,6 @@ class Mlp : public Module {
 
  private:
   std::vector<std::unique_ptr<Linear>> linears_;
-  std::vector<Relu> relus_;
 };
 
 // One LSTM step (used by the Tiramisu-style recursive baseline).

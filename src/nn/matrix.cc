@@ -96,20 +96,20 @@ Matrix ColumnSum(const Matrix& x) {
   return out;
 }
 
-void SoftmaxRows(Matrix* x) {
-  for (int i = 0; i < x->rows(); ++i) {
-    float* row = x->Row(i);
+void SoftmaxRows(float* x, int rows, int cols) {
+  for (int i = 0; i < rows; ++i) {
+    float* row = x + static_cast<size_t>(i) * cols;
     float mx = row[0];
-    for (int j = 1; j < x->cols(); ++j) {
+    for (int j = 1; j < cols; ++j) {
       mx = std::max(mx, row[j]);
     }
     float sum = 0.0f;
-    for (int j = 0; j < x->cols(); ++j) {
+    for (int j = 0; j < cols; ++j) {
       row[j] = std::exp(row[j] - mx);
       sum += row[j];
     }
     const float inv = 1.0f / sum;
-    for (int j = 0; j < x->cols(); ++j) {
+    for (int j = 0; j < cols; ++j) {
       row[j] *= inv;
     }
   }

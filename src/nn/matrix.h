@@ -82,8 +82,8 @@ void AddRowBroadcast(Matrix* x, const Matrix& bias);
 // Column-wise sum of x -> [1, n] (gradient of a broadcast bias).
 Matrix ColumnSum(const Matrix& x);
 
-// In-place row-wise softmax.
-void SoftmaxRows(Matrix* x);
+// In-place row-wise softmax of a [rows, cols] row-major block.
+void SoftmaxRows(float* x, int rows, int cols);
 
 }  // namespace cdmpp
 

@@ -230,8 +230,8 @@ QuantizedLinear::QuantizedLinear(const Linear& linear, const std::vector<float>&
   QuantizePackWeights(k, n, folded.data(), n, &weights_);
 }
 
-Matrix* QuantizedLinear::ForwardInference(const Matrix& x, Workspace* ws,
-                                          kernels::Activation act) const {
+Matrix* QuantizedLinear::Forward(const Matrix& x, Workspace* ws,
+                                 kernels::Activation act) const {
   CDMPP_CHECK(x.cols() == weights_.k);
   const int m = x.rows();
   const int ldq = 2 * weights_.k2;
@@ -274,15 +274,16 @@ QuantizedMlp::QuantizedMlp(const Mlp& mlp, size_t num_fp32_tail_layers) {
   }
 }
 
-Matrix* QuantizedMlp::ForwardInference(const Matrix& x, Workspace* ws) const {
+Matrix* QuantizedMlp::Forward(const Matrix& x, Workspace* ws) const {
   const size_t total = num_layers();
   const Matrix* h = &x;
   Matrix* out = nullptr;
   for (size_t i = 0; i < total; ++i) {
     const kernels::Activation act =
         i + 1 < total ? kernels::Activation::kRelu : kernels::Activation::kNone;
-    out = i < layers_.size() ? layers_[i].ForwardInference(*h, ws, act)
-                             : fp32_tail_[i - layers_.size()].ForwardInference(*h, ws, act);
+    out = i < layers_.size()
+              ? layers_[i].Forward(*h, ws, act)
+              : fp32_tail_[i - layers_.size()].Forward(*h, ws, /*cache=*/nullptr, act);
     h = out;
   }
   return out;

@@ -27,7 +27,7 @@
 // with fp32 to <= 1% relative on the serving fixtures (tests/serve_test.cc).
 //
 // QuantizedLinear/QuantizedMlp are calibrated read-only copies of their fp32
-// layers: construction is mutating-world only, ForwardInference is const and
+// layers: construction is mutating-world only, Forward is const and
 // touches no mutable state, so any number of threads may run it concurrently
 // on a shared instance (the PredictionService int8 mode relies on this).
 // Re-quantize after the fp32 parameters change (training, ImportParams).
@@ -165,15 +165,15 @@ class QuantizedLinear {
   // Hot path: quantizes x into `ws` scratch and runs the fused
   // int8-GEMM + dequantize + bias + activation kernel. Output and scratch
   // live in `ws` (one per thread), valid until its Reset().
-  Matrix* ForwardInference(const Matrix& x, Workspace* ws,
-                           kernels::Activation act = kernels::Activation::kNone) const;
+  Matrix* Forward(const Matrix& x, Workspace* ws,
+                  kernels::Activation act = kernels::Activation::kNone) const;
 
   // Multi-consumer hot path: runs the fused GEMM over activations the CALLER
   // already quantized — `q` [m rows, ldq >= 2*k2() apart, pad zeroed] with
   // per-row dequant scales `row_scales` [m]. The codes must have been
   // produced with column scales matching inv_col_scales() (shared scales
   // across consumers — the attention Q/K/V path quantizes x once and feeds
-  // the same codes to all three projections). ForwardInference is exactly
+  // the same codes to all three projections). Forward is exactly
   // quantize + this.
   Matrix* ForwardPreQuantized(int m, const int16_t* q, int ldq, const float* row_scales,
                               Workspace* ws,
@@ -209,7 +209,7 @@ class QuantizedMlp {
  public:
   explicit QuantizedMlp(const Mlp& mlp, size_t num_fp32_tail_layers = 0);
 
-  Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
+  Matrix* Forward(const Matrix& x, Workspace* ws) const;
 
   size_t num_layers() const { return layers_.size() + fp32_tail_.size(); }
   size_t num_quantized_layers() const { return layers_.size(); }

@@ -8,42 +8,28 @@ TransformerEncoderLayer::TransformerEncoderLayer(int d_model, int num_heads, int
   ff2_ = std::make_unique<Linear>(d_ff, d_model, rng);
 }
 
-Matrix TransformerEncoderLayer::Forward(const Matrix& x, int seq_len) {
-  Matrix attn_out = attn_.Forward(x, seq_len);
-  attn_out.AddInPlace(x);  // residual
-  Matrix h = norm1_.Forward(attn_out);
-
-  Matrix ff = ff2_->Forward(ff_relu_.Forward(ff1_->Forward(h)));
-  ff.AddInPlace(h);  // residual
-  return norm2_.Forward(ff);
-}
-
-Matrix TransformerEncoderLayer::ForwardInference(const Matrix& x, int seq_len) const {
-  Workspace ws;
-  return *ForwardInference(x, seq_len, &ws);
-}
-
-Matrix* TransformerEncoderLayer::ForwardInference(const Matrix& x, int seq_len,
-                                                  Workspace* ws) const {
-  Matrix* attn_out = attn_.ForwardInference(x, seq_len, ws);
+Matrix* TransformerEncoderLayer::Forward(const Matrix& x, int seq_len, Workspace* ws,
+                                         Cache* cache) const {
+  const bool train = cache != nullptr;
+  Matrix* attn_out = attn_.Forward(x, seq_len, ws, train ? &cache->attn : nullptr);
   attn_out->AddInPlace(x);  // residual
-  Matrix* h = norm1_.ForwardInference(*attn_out, ws);
+  Matrix* h = norm1_.Forward(*attn_out, ws, train ? &cache->norm1 : nullptr);
 
   // FFN hidden layer: bias + ReLU fused into the GEMM epilogue.
-  Matrix* ff1 = ff1_->ForwardInference(*h, ws, kernels::Activation::kRelu);
-  Matrix* ff = ff2_->ForwardInference(*ff1, ws);
+  Matrix* ff1 = ff1_->Forward(*h, ws, train ? &cache->ff1 : nullptr, kernels::Activation::kRelu);
+  Matrix* ff = ff2_->Forward(*ff1, ws, train ? &cache->ff2 : nullptr);
   ff->AddInPlace(*h);  // residual
-  return norm2_.ForwardInference(*ff, ws);
+  return norm2_.Forward(*ff, ws, train ? &cache->norm2 : nullptr);
 }
 
-Matrix TransformerEncoderLayer::Backward(const Matrix& dy) {
-  Matrix d_ff_sum = norm2_.Backward(dy);
+Matrix TransformerEncoderLayer::Backward(const Cache& cache, const Matrix& dy) {
+  Matrix d_ff_sum = norm2_.Backward(cache.norm2, dy);
   // d_ff_sum flows to both the FFN branch and the residual (h).
-  Matrix dh = ff1_->Backward(ff_relu_.Backward(ff2_->Backward(d_ff_sum)));
+  Matrix dh = ff1_->Backward(cache.ff1, ff2_->Backward(cache.ff2, d_ff_sum));
   dh.AddInPlace(d_ff_sum);
 
-  Matrix d_attn_sum = norm1_.Backward(dh);
-  Matrix dx = attn_.Backward(d_attn_sum);
+  Matrix d_attn_sum = norm1_.Backward(cache.norm1, dh);
+  Matrix dx = attn_.Backward(cache.attn, d_attn_sum);
   dx.AddInPlace(d_attn_sum);
   return dx;
 }
@@ -65,32 +51,24 @@ TransformerEncoder::TransformerEncoder(int d_model, int num_heads, int d_ff, int
   }
 }
 
-Matrix TransformerEncoder::Forward(const Matrix& x, int seq_len) {
-  Matrix h = x;
-  for (auto& layer : layers_) {
-    h = layer->Forward(h, seq_len);
+Matrix* TransformerEncoder::Forward(const Matrix& x, int seq_len, Workspace* ws,
+                                    Cache* cache) const {
+  if (cache != nullptr) {
+    cache->layers.resize(layers_.size());
   }
-  return h;
-}
-
-Matrix TransformerEncoder::ForwardInference(const Matrix& x, int seq_len) const {
-  Workspace ws;
-  return *ForwardInference(x, seq_len, &ws);
-}
-
-Matrix* TransformerEncoder::ForwardInference(const Matrix& x, int seq_len,
-                                             Workspace* ws) const {
-  Matrix* h = layers_[0]->ForwardInference(x, seq_len, ws);
-  for (size_t i = 1; i < layers_.size(); ++i) {
-    h = layers_[i]->ForwardInference(*h, seq_len, ws);
+  const Matrix* h = &x;
+  Matrix* out = nullptr;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    out = layers_[i]->Forward(*h, seq_len, ws, cache != nullptr ? &cache->layers[i] : nullptr);
+    h = out;
   }
-  return h;
+  return out;
 }
 
-Matrix TransformerEncoder::Backward(const Matrix& dy) {
+Matrix TransformerEncoder::Backward(const Cache& cache, const Matrix& dy) {
   Matrix d = dy;
   for (size_t i = layers_.size(); i-- > 0;) {
-    d = layers_[i]->Backward(d);
+    d = layers_[i]->Backward(cache.layers[i], d);
   }
   return d;
 }
@@ -111,22 +89,22 @@ QuantizedTransformerEncoderLayer::QuantizedTransformerEncoderLayer(
       ff2_(layer.ff2()),
       norm2_(layer.norm2()) {}
 
-Matrix* QuantizedTransformerEncoderLayer::ForwardInference(const Matrix& x, int seq_len,
-                                                           Workspace* ws) const {
+Matrix* QuantizedTransformerEncoderLayer::Forward(const Matrix& x, int seq_len,
+                                                  Workspace* ws) const {
   // Mirrors the fp32 layer exactly, with the weight GEMMs swapped for their
   // quantized snapshots. Residual adds and LayerNorms are fp32: every
   // parallel region inside (attention chunks, LayerNorm rows, activation
   // quantization rows) writes disjoint regions, so the whole layer stays
   // bitwise thread-count-invariant.
-  Matrix* attn_out = attn_.ForwardInference(x, seq_len, ws);
+  Matrix* attn_out = attn_.Forward(x, seq_len, ws);
   attn_out->AddInPlace(x);  // residual
-  Matrix* h = norm1_.ForwardInference(*attn_out, ws);
+  Matrix* h = norm1_.Forward(*attn_out, ws);
 
   // FFN hidden layer: bias + ReLU fused into the int8 dequant epilogue.
-  Matrix* ff1 = ff1_.ForwardInference(*h, ws, kernels::Activation::kRelu);
-  Matrix* ff = ff2_.ForwardInference(*ff1, ws);
+  Matrix* ff1 = ff1_.Forward(*h, ws, kernels::Activation::kRelu);
+  Matrix* ff = ff2_.Forward(*ff1, ws);
   ff->AddInPlace(*h);  // residual
-  return norm2_.ForwardInference(*ff, ws);
+  return norm2_.Forward(*ff, ws);
 }
 
 QuantizedTransformerEncoder::QuantizedTransformerEncoder(const TransformerEncoder& encoder)
@@ -141,11 +119,11 @@ QuantizedTransformerEncoder::QuantizedTransformerEncoder(const TransformerEncode
   }
 }
 
-Matrix* QuantizedTransformerEncoder::ForwardInference(const Matrix& x, int seq_len,
-                                                      Workspace* ws) const {
-  Matrix* h = layers_[0].ForwardInference(x, seq_len, ws);
+Matrix* QuantizedTransformerEncoder::Forward(const Matrix& x, int seq_len,
+                                             Workspace* ws) const {
+  Matrix* h = layers_[0].Forward(x, seq_len, ws);
   for (size_t i = 1; i < layers_.size(); ++i) {
-    h = layers_[i].ForwardInference(*h, seq_len, ws);
+    h = layers_[i].Forward(*h, seq_len, ws);
   }
   return h;
 }

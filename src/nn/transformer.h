@@ -15,10 +15,16 @@ class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(int d_model, int num_heads, int d_ff, Rng* rng);
 
-  Matrix Forward(const Matrix& x, int seq_len);
-  Matrix ForwardInference(const Matrix& x, int seq_len) const;
-  Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
-  Matrix Backward(const Matrix& dy);
+  struct Cache {
+    MultiHeadSelfAttention::Cache attn;
+    LayerNorm::Cache norm1;
+    Linear::Cache ff1, ff2;
+    LayerNorm::Cache norm2;
+  };
+
+  // The FFN's hidden layer runs bias + ReLU fused into its GEMM.
+  Matrix* Forward(const Matrix& x, int seq_len, Workspace* ws, Cache* cache = nullptr) const;
+  Matrix Backward(const Cache& cache, const Matrix& dy);
   void CollectParams(std::vector<Param*>* out) override;
 
   // Read-only sublayer views: the int8 calibration path
@@ -34,7 +40,6 @@ class TransformerEncoderLayer : public Module {
   MultiHeadSelfAttention attn_;
   LayerNorm norm1_;
   std::unique_ptr<Linear> ff1_;
-  Relu ff_relu_;
   std::unique_ptr<Linear> ff2_;
   LayerNorm norm2_;
 };
@@ -44,14 +49,15 @@ class TransformerEncoder : public Module {
  public:
   TransformerEncoder(int d_model, int num_heads, int d_ff, int num_layers, Rng* rng);
 
-  Matrix Forward(const Matrix& x, int seq_len);
-  // Cache-free const forward (see src/nn/layers.h): safe for concurrent use
-  // on a shared encoder while no thread is training it.
-  Matrix ForwardInference(const Matrix& x, int seq_len) const;
-  // Hot path: all intermediates from `ws` (one arena per thread); the fused
-  // Linear+ReLU kernel runs the FFN's hidden layer in one pass.
-  Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
-  Matrix Backward(const Matrix& dy);
+  struct Cache {
+    std::vector<TransformerEncoderLayer::Cache> layers;  // resized in place
+  };
+
+  // All intermediates from `ws` (one arena per thread). Without a cache it
+  // is safe for concurrent use on a shared encoder while no thread is
+  // training it (see src/nn/layers.h).
+  Matrix* Forward(const Matrix& x, int seq_len, Workspace* ws, Cache* cache = nullptr) const;
+  Matrix Backward(const Cache& cache, const Matrix& dy);
   void CollectParams(std::vector<Param*>* out) override;
 
   int d_model() const { return d_model_; }
@@ -83,14 +89,14 @@ class TransformerEncoder : public Module {
 //   * ff2's input is ReLU(ff1) and the output projection's input is the
 //     attention context — both data-dependent, both plain per-row.
 //
-// Calibrated, immutable snapshot of a fp32 layer: ForwardInference is const
-// and thread-safe for concurrent readers; re-snapshot after training.
+// Calibrated, immutable snapshot of a fp32 layer: Forward is const and
+// thread-safe for concurrent readers; re-snapshot after training.
 class QuantizedTransformerEncoderLayer {
  public:
   QuantizedTransformerEncoderLayer(const TransformerEncoderLayer& layer,
                                    const LayerNorm* input_norm);
 
-  Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
+  Matrix* Forward(const Matrix& x, int seq_len, Workspace* ws) const;
 
  private:
   QuantizedMultiHeadSelfAttention attn_;
@@ -107,7 +113,7 @@ class QuantizedTransformerEncoder {
  public:
   explicit QuantizedTransformerEncoder(const TransformerEncoder& encoder);
 
-  Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
+  Matrix* Forward(const Matrix& x, int seq_len, Workspace* ws) const;
 
   int d_model() const { return d_model_; }
   size_t num_layers() const { return layers_.size(); }

@@ -1,19 +1,24 @@
-// Workspace: a bump arena of reusable Matrix buffers for the inference hot
-// path, plus WorkspacePool: a thread-safe lending library of such arenas.
+// Workspace: a bump arena of reusable Matrix buffers for every forward pass,
+// plus WorkspacePool: a thread-safe lending library of such arenas.
 //
-// Every ForwardInference(..., Workspace*) overload takes its output and all
-// intermediate tensors from the workspace instead of the heap. Usage:
+// Every layer's one Forward(..., Workspace*, Cache*) takes its output and
+// all intermediate tensors from the workspace instead of the heap. Usage:
 //
 //   Workspace ws;                       // one per thread (not thread-safe)
 //   ws.Reset();                         // rewind before each forward pass
-//   Matrix* y = layer.ForwardInference(x, &ws);  // valid until next Reset()
+//   Matrix* y = layer.Forward(x, &ws);  // inference; valid until next Reset()
+//
+//   Linear::Cache cache;                // training: the same pass, recorded
+//   ws.Reset();
+//   Matrix* y = layer.Forward(x, &ws, &cache);
+//   Matrix dx = layer.Backward(cache, dy);  // before the next Reset()
 //
 // Reset() rewinds the slot cursor without freeing, so after the first pass
 // per shape ("warm"), NewMatrix is a pointer bump plus a capacity-preserving
-// resize: steady-state forward passes perform zero heap allocations (see
-// tests/dataplane_test.cc, which asserts this with a counting allocator).
-// Matrices keep stable addresses across Reset() because slots are pooled
-// behind unique_ptr.
+// resize: steady-state forward passes, training ones included, perform zero
+// heap allocations (see tests/dataplane_test.cc, which asserts this with a
+// counting allocator). Matrices keep stable addresses across Reset() because
+// slots are pooled behind unique_ptr.
 //
 // A single-owner Workspace stays the fast path. The pool exists for the two
 // places ownership is not one-thread-one-arena: serving workers lease their

@@ -56,7 +56,7 @@ void DirectCostModel::ScoreBatchImpl(const std::vector<CostQuery>& queries,
     view.device_ids.push_back(q.device_id);
     double prediction = 0.0;
     if (int8_mode) {
-      predictor_->PredictBatchedQuantized(view, &ws_, &prediction, nullptr, precision_);
+      predictor_->PredictBatchedQuantized(view, &ws_, &prediction);
     } else {
       predictor_->PredictBatched(view, &ws_, &prediction);
     }

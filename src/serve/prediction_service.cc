@@ -34,8 +34,7 @@ PredictionService::PredictionService(CdmppPredictor* predictor, const ServeOptio
   if (options.precision != Precision::kFp32) {
     // Calibrate the int8 snapshots (heads, device MLP, decoder, encoder) from
     // the current fp32 parameters before any worker exists (single-threaded
-    // here, so mutating is safe). Both int8 modes calibrate everything; the
-    // forward picks the encoder tier per mode.
+    // here, so mutating is safe).
     predictor->PrepareQuantizedInference();
   }
   workers_.reserve(static_cast<size_t>(options.num_workers));
@@ -371,8 +370,7 @@ void PredictionService::ProcessBatch(std::vector<Request> requests,
     obs::ScopedSpan forward_span(obs::Stage::kForward);
     std::shared_lock<std::shared_mutex> lock(model_mu_);
     if (int8_mode) {
-      predictor_->PredictBatchedQuantized(view, ws, predictions->data(), &passes,
-                                          options_.precision);
+      predictor_->PredictBatchedQuantized(view, ws, predictions->data(), &passes);
     } else {
       predictor_->PredictBatched(view, ws, predictions->data(), &passes);
     }

@@ -1,8 +1,8 @@
 // Data-plane allocation tests: a counting global allocator asserts that the
-// steady-state inference hot path — layer ForwardInference over a Workspace
-// arena, and the full CdmppPredictor::PredictBatched — performs ZERO heap
-// allocations once warm. Plus bitwise equivalence of the arena path with the
-// allocating convenience path.
+// one forward per layer performs ZERO heap allocations once warm — for
+// inference (no cache) and for training (with a cache) over a Workspace
+// arena — and so does the full CdmppPredictor::PredictBatched. Plus bitwise
+// equivalence of batched and singleton predictions.
 #include <cmath>
 #include <cstdlib>
 #include <new>
@@ -138,46 +138,69 @@ TEST(WorkspaceTest, WarmNewMatrixDoesNotAllocate) {
   EXPECT_NE(b, nullptr);
 }
 
-TEST(DataPlaneAllocTest, LayerArenaOverloadsMatchAllocatingOverloads) {
-  Rng rng(12);
-  Relu relu;
-  LayerNorm ln(16);
-  Matrix x(9, 16);
+Matrix RandomInput(int rows, int cols, Rng* rng) {
+  Matrix x(rows, cols);
   for (size_t i = 0; i < x.size(); ++i) {
-    x.data()[i] = static_cast<float>(rng.Normal(0.0, 2.0));
+    x.data()[i] = static_cast<float>(rng->Normal(0.0, 1.0));
   }
-  Workspace ws;
-  const Matrix* relu_ws = relu.ForwardInference(x, &ws);
-  Matrix relu_alloc = relu.ForwardInference(x);
-  const Matrix* ln_ws = ln.ForwardInference(x, &ws);
-  Matrix ln_alloc = ln.ForwardInference(x);
-  ASSERT_EQ(relu_ws->size(), relu_alloc.size());
-  ASSERT_EQ(ln_ws->size(), ln_alloc.size());
-  for (size_t i = 0; i < relu_alloc.size(); ++i) {
-    EXPECT_EQ(relu_ws->data()[i], relu_alloc.data()[i]);  // bitwise
-    EXPECT_EQ(ln_ws->data()[i], ln_alloc.data()[i]);
-  }
+  return x;
 }
 
-TEST(DataPlaneAllocTest, EncoderForwardInferenceIsAllocationFreeWhenWarm) {
+TEST(DataPlaneAllocTest, EncoderForwardIsAllocationFreeWhenWarm) {
   Rng rng(11);
   TransformerEncoder enc(/*d_model=*/16, /*num_heads=*/2, /*d_ff=*/32, /*num_layers=*/2,
                          &rng);
-  Matrix x(6 * 4, 16);  // 4 samples x seq_len 6
-  for (size_t i = 0; i < x.size(); ++i) {
-    x.data()[i] = static_cast<float>(rng.Normal(0.0, 1.0));
-  }
+  Matrix x = RandomInput(6 * 4, 16, &rng);  // 4 samples x seq_len 6
   Workspace ws;
   ws.Reset();
-  enc.ForwardInference(x, 6, &ws);  // warm the arena
+  enc.Forward(x, 6, &ws);  // warm the arena
   ws.Reset();
   const long before = g_thread_allocs;
-  Matrix* y = enc.ForwardInference(x, 6, &ws);
+  Matrix* y = enc.Forward(x, 6, &ws);
   const long delta = g_thread_allocs - before;
   EXPECT_EQ(delta, 0) << "encoder inference must not touch the heap when warm";
   ASSERT_NE(y, nullptr);
   EXPECT_EQ(y->rows(), 24);
   EXPECT_EQ(y->cols(), 16);
+}
+
+TEST(DataPlaneAllocTest, TrainingForwardWithCacheIsAllocationFreeWhenWarm) {
+  // A training pass is the same forward plus a cache: everything it records
+  // for Backward lives in the arena, and the caches' per-layer vectors keep
+  // their size, so a warm training forward touches the heap as little as an
+  // inference one. Shapes large enough that attention forks on a multi-core
+  // pool (its chunks then write their own softmax-cache slices).
+  Rng rng(13);
+  Linear input(24, 32, &rng);
+  TransformerEncoder enc(/*d_model=*/32, /*num_heads=*/4, /*d_ff=*/64, /*num_layers=*/2,
+                         &rng);
+  Mlp head({32, 16, 1}, &rng);
+  Matrix x = RandomInput(48 * 7, 24, &rng);  // 48 samples x seq_len 7
+  Workspace ws;
+  Linear::Cache input_cache;
+  TransformerEncoder::Cache enc_cache;
+  Mlp::Cache head_cache;
+  auto train_forward = [&] {
+    ws.Reset();
+    Matrix* h = input.Forward(x, &ws, &input_cache);
+    h = enc.Forward(*h, 7, &ws, &enc_cache);
+    return head.Forward(*h, &ws, &head_cache);
+  };
+  train_forward();  // warm the arena and the caches
+  const long before = g_thread_allocs;
+  Matrix* y = train_forward();
+  const long delta = g_thread_allocs - before;
+  EXPECT_EQ(delta, 0) << "a warm training forward must not touch the heap";
+  ASSERT_NE(y, nullptr);
+  EXPECT_EQ(y->rows(), 48 * 7);
+  // The recorded pass is usable: Backward runs off the cache.
+  enc.ZeroGrad();
+  Matrix dy(y->rows(), y->cols());
+  dy.Fill(1.0f);
+  Matrix dh = head.Backward(head_cache, dy);
+  Matrix dx = input.Backward(input_cache, enc.Backward(enc_cache, dh));
+  EXPECT_EQ(dx.rows(), x.rows());
+  EXPECT_EQ(dx.cols(), x.cols());
 }
 
 TEST(DataPlaneAllocTest, PredictBatchedSteadyStateIsAllocationFree) {

@@ -216,61 +216,66 @@ TEST(BatchingTest, MakeBatchesDeterministicForFixedSeed) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(BatchingTest, AstViewAdapterMatchesDatasetPath) {
-  // The serving adapter must bucket and featurize free-standing ASTs exactly
-  // as the dataset path does for the same programs.
+TEST(BatchingTest, DatasetViewAddressesSamples) {
+  // Training, evaluation and serving share one featurizer over AstBatchView:
+  // a dataset view must bucket exactly as the dataset grouping does, and
+  // address each sample's program and device.
   Dataset ds = BuildDataset(SmallOptions());
   std::vector<int> some = {0, 1, 2, 3, 4, 5, 6, 7};
-  AstBatchView view;
-  for (int idx : some) {
-    const Sample& s = ds.samples[static_cast<size_t>(idx)];
-    view.asts.push_back(&ds.programs[static_cast<size_t>(s.program_index)].ast);
-    view.device_ids.push_back(s.device_id);
+  AstBatchView subset = DatasetView(ds, some);
+  AstBatchView all = DatasetView(ds);
+  ASSERT_EQ(subset.size(), some.size());
+  ASSERT_EQ(all.size(), ds.samples.size());
+  for (size_t i = 0; i < some.size(); ++i) {
+    const Sample& s = ds.samples[static_cast<size_t>(some[i])];
+    EXPECT_EQ(subset.asts[i], &ds.programs[static_cast<size_t>(s.program_index)].ast);
+    EXPECT_EQ(subset.device_ids[i], s.device_id);
+    // The full view's positions are sample indices.
+    EXPECT_EQ(all.asts[static_cast<size_t>(some[i])], subset.asts[i]);
+    EXPECT_EQ(all.device_ids[static_cast<size_t>(some[i])], s.device_id);
   }
   auto ds_buckets = GroupByLeafCount(ds, some);
-  auto view_buckets = GroupByLeafCount(view);
+  auto view_buckets = GroupByLeafCount(subset);
   ASSERT_EQ(ds_buckets.size(), view_buckets.size());
   for (const auto& [leaves, view_positions] : view_buckets) {
     ASSERT_TRUE(ds_buckets.count(leaves));
     ASSERT_EQ(ds_buckets[leaves].size(), view_positions.size());
-  }
-  // Feature rows agree batch for batch (no shuffle: rng == nullptr).
-  auto ds_batches = MakeBatches(ds_buckets, 4, nullptr);
-  auto view_batches = MakeBatches(view_buckets, 4, nullptr);
-  ASSERT_EQ(ds_batches.size(), view_batches.size());
-  for (size_t b = 0; b < ds_batches.size(); ++b) {
-    Matrix from_ds = BuildFeatureMatrix(ds, ds_batches[b], nullptr, true);
-    Matrix from_view = BuildFeatureMatrix(view, view_batches[b], nullptr, true);
-    ASSERT_EQ(from_ds.rows(), from_view.rows());
-    ASSERT_EQ(from_ds.cols(), from_view.cols());
-    for (int i = 0; i < from_ds.rows(); ++i) {
-      for (int j = 0; j < from_ds.cols(); ++j) {
-        EXPECT_EQ(from_ds.At(i, j), from_view.At(i, j));
-      }
-    }
-    Matrix dev_ds = BuildDeviceFeatureMatrix(ds, ds_batches[b]);
-    Matrix dev_view = BuildDeviceFeatureMatrix(view, view_batches[b]);
-    for (int i = 0; i < dev_ds.rows(); ++i) {
-      for (int j = 0; j < dev_ds.cols(); ++j) {
-        EXPECT_EQ(dev_ds.At(i, j), dev_view.At(i, j));
-      }
+    for (size_t k = 0; k < view_positions.size(); ++k) {
+      EXPECT_EQ(ds_buckets[leaves][k], some[static_cast<size_t>(view_positions[k])]);
     }
   }
 }
 
-TEST(BatchingTest, FeatureMatrixShapes) {
+TEST(BatchingTest, FeatureMatrixRowsFollowTheBatch) {
   Dataset ds = BuildDataset(SmallOptions());
   std::vector<int> all = SamplesOnDevice(ds, 0);
   Rng rng(7);
   auto batches = MakeBatches(GroupByLeafCount(ds, all), 16, &rng);
   ASSERT_FALSE(batches.empty());
   const Batch& b = batches.front();
-  Matrix x = BuildFeatureMatrix(ds, b, nullptr, true);
-  EXPECT_EQ(x.rows(), static_cast<int>(b.sample_indices.size()) * b.seq_len);
-  EXPECT_EQ(x.cols(), kFeatDim);
-  Matrix dev = BuildDeviceFeatureMatrix(ds, b);
-  EXPECT_EQ(dev.rows(), static_cast<int>(b.sample_indices.size()));
-  EXPECT_EQ(dev.cols(), kDeviceFeatDim);
+  const int n = static_cast<int>(b.sample_indices.size());
+  AstBatchView view = DatasetView(ds);
+  Matrix x(n * b.seq_len, kFeatDim);
+  BuildFeatureMatrixInto(view, b, nullptr, /*use_pe=*/false, 10000.0, &x);
+  for (int i = 0; i < n; ++i) {
+    const Sample& s = ds.samples[static_cast<size_t>(b.sample_indices[static_cast<size_t>(i)])];
+    const CompactAst& ast = ds.programs[static_cast<size_t>(s.program_index)].ast;
+    for (int t = 0; t < b.seq_len; ++t) {
+      for (int j = 0; j < kFeatDim; ++j) {
+        EXPECT_EQ(x.At(i * b.seq_len + t, j),
+                  ast.leaves[static_cast<size_t>(t)][static_cast<size_t>(j)]);
+      }
+    }
+  }
+  Matrix dev(n, kDeviceFeatDim);
+  BuildDeviceFeatureMatrixInto(view, b, &dev);
+  for (int i = 0; i < n; ++i) {
+    const Sample& s = ds.samples[static_cast<size_t>(b.sample_indices[static_cast<size_t>(i)])];
+    const std::vector<float> expected = ExtractDeviceFeatures(DeviceById(s.device_id));
+    for (int j = 0; j < kDeviceFeatDim; ++j) {
+      EXPECT_EQ(dev.At(i, j), expected[static_cast<size_t>(j)]);
+    }
+  }
 }
 
 TEST(BatchingTest, StackLeafRowsMatchesTotalLeaves) {

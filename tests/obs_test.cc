@@ -273,7 +273,7 @@ TEST(MetricsTest, KillSwitchSuppressesRecording) {
 TEST(MetricsTest, DataPlaneCountersAccumulate) {
   // The GEMM dispatch layer counts calls and flops by precision and ISA; any
   // forward pass must move the counters. Use a tiny direct GEMM through the
-  // public layer API instead: Linear::ForwardInference dispatches GemmBiasAct.
+  // public layer API instead: Linear::Forward dispatches GemmBiasAct.
   auto before_all = obs::MetricsRegistry::Global().CounterValues();
   uint64_t before = 0;
   for (const auto& [name, value] : before_all) {
@@ -285,7 +285,7 @@ TEST(MetricsTest, DataPlaneCountersAccumulate) {
   Linear lin(8, 8, &rng);
   Matrix x(4, 8);
   Workspace ws;
-  lin.ForwardInference(x, &ws);
+  lin.Forward(x, &ws);
   uint64_t after = 0;
   for (const auto& [name, value] : obs::MetricsRegistry::Global().CounterValues()) {
     if (name.rfind("gemm.calls.", 0) == 0) {

@@ -113,10 +113,10 @@ TEST(QuantizedLinearTest, OutputErrorStaysWithinAnalyticBound) {
   Linear linear(k, n, &rng);
   Matrix x = RandomMatrix(m, k, &rng, 2.0);
 
-  Matrix y_fp32 = linear.ForwardInference(x);
-  QuantizedLinear qlinear(linear);
   Workspace ws;
-  Matrix* y_q = qlinear.ForwardInference(x, &ws);
+  const Matrix& y_fp32 = *linear.Forward(x, &ws);
+  QuantizedLinear qlinear(linear);
+  Matrix* y_q = qlinear.Forward(x, &ws);
   ASSERT_EQ(y_q->rows(), m);
   ASSERT_EQ(y_q->cols(), n);
 
@@ -153,8 +153,8 @@ TEST(QuantizedLinearTest, FusedReluMatchesSeparateRelu) {
   Matrix x = RandomMatrix(5, 24, &rng);
   QuantizedLinear qlinear(linear);
   Workspace ws1, ws2;
-  Matrix* fused = qlinear.ForwardInference(x, &ws1, Activation::kRelu);
-  Matrix* plain = qlinear.ForwardInference(x, &ws2, Activation::kNone);
+  Matrix* fused = qlinear.Forward(x, &ws1, Activation::kRelu);
+  Matrix* plain = qlinear.Forward(x, &ws2, Activation::kNone);
   for (int i = 0; i < fused->rows(); ++i) {
     for (int j = 0; j < fused->cols(); ++j) {
       EXPECT_EQ(fused->At(i, j), std::max(0.0f, plain->At(i, j)));
@@ -178,14 +178,14 @@ TEST(QuantizedLinearTest, RowResultsAreBatchSizeInvariantBitwise) {
       continue;
     }
     Workspace ws;
-    Matrix* full = qlinear.ForwardInference(x, &ws);
+    Matrix* full = qlinear.Forward(x, &ws);
     for (int i = 0; i < m; ++i) {
       Matrix row(1, k);
       for (int p = 0; p < k; ++p) {
         row.At(0, p) = x.At(i, p);
       }
       Workspace ws_row;
-      Matrix* alone = qlinear.ForwardInference(row, &ws_row);
+      Matrix* alone = qlinear.Forward(row, &ws_row);
       for (int j = 0; j < n; ++j) {
         ASSERT_EQ(full->At(i, j), alone->At(0, j))
             << "isa=" << KernelIsaName(isa) << " row " << i << " col " << j;
@@ -199,11 +199,11 @@ TEST(QuantizedMlpTest, TracksFp32MlpClosely) {
   Rng rng(46);
   Mlp mlp({30, 24, 16, 1}, &rng);
   Matrix x = RandomMatrix(9, 30, &rng);
-  Matrix y_fp32 = mlp.ForwardInference(x);
+  Workspace ws;
+  const Matrix& y_fp32 = *mlp.Forward(x, &ws);
   QuantizedMlp qmlp(mlp);
   EXPECT_EQ(qmlp.num_layers(), 3u);
-  Workspace ws;
-  Matrix* y_q = qmlp.ForwardInference(x, &ws);
+  Matrix* y_q = qmlp.Forward(x, &ws);
   // Stacked quantization noise across three layers on random (untrained,
   // Xavier-scale) weights: int8 weight rounding dominates (the 12-bit
   // activation codes contribute ~nothing) and measures well under 2% of the
@@ -287,8 +287,8 @@ TEST(QuantizedLinearTest, UnitColumnScalesMatchPlainConstructorBitwise) {
   EXPECT_FALSE(plain.has_col_scales());
   EXPECT_TRUE(scaled.has_col_scales());
   Workspace ws1, ws2;
-  Matrix* y_plain = plain.ForwardInference(x, &ws1);
-  Matrix* y_scaled = scaled.ForwardInference(x, &ws2);
+  Matrix* y_plain = plain.Forward(x, &ws1);
+  Matrix* y_scaled = scaled.Forward(x, &ws2);
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
       EXPECT_EQ(y_plain->At(i, j), y_scaled->At(i, j)) << "(" << i << ", " << j << ")";
@@ -311,7 +311,7 @@ TEST(QuantizedLinearTest, PerChannelEpilogueStaysWithinAnalyticBound) {
   }
   QuantizedLinear qlinear(linear, col);
   Workspace ws;
-  Matrix* y_q = qlinear.ForwardInference(x, &ws);
+  Matrix* y_q = qlinear.Forward(x, &ws);
 
   const float qmax = static_cast<float>(ActivationQMax(k));
   const std::vector<float>& inv_col = qlinear.inv_col_scales();
@@ -388,10 +388,10 @@ TEST(QuantizedLinearTest, ForwardPreQuantizedSharesOneQuantizationAcrossConsumer
   for (const QuantizedLinear* q : consumers) {
     Workspace ws_pre, ws_direct;
     Matrix* pre = q->ForwardPreQuantized(m, codes.data(), ldq, row_scales.data(), &ws_pre);
-    Matrix* direct = q->ForwardInference(x, &ws_direct);
+    Matrix* direct = q->Forward(x, &ws_direct);
     for (int i = 0; i < m; ++i) {
       for (int j = 0; j < n; ++j) {
-        // ForwardInference is exactly quantize + ForwardPreQuantized.
+        // Forward is exactly quantize + ForwardPreQuantized.
         ASSERT_EQ(pre->At(i, j), direct->At(i, j)) << "(" << i << ", " << j << ")";
       }
     }

@@ -5,7 +5,7 @@
 //     return, nested leases under ParallelFor (the serving composition).
 //   * ParallelForWithScratch — coverage, per-chunk private scratch,
 //     deterministic chunk->lease assignment.
-//   * Thread-count invariance — the serving contract that ForwardInference /
+//   * Thread-count invariance — the serving contract that Forward /
 //     PredictBatched results are BITWISE identical for every
 //     CDMPP_NUM_THREADS value (pools of 1, 2, and 8 threads), for fp32 and
 //     int8, under both kernel ISAs, and across batch splits.
@@ -254,27 +254,37 @@ void ExpectBitwiseEqual(const Matrix& a, const Matrix& b, const char* what) {
       << what << ": outputs differ across thread counts";
 }
 
-TEST(ThreadInvarianceTest, EncoderForwardInferenceBitwiseAcrossThreadCounts) {
+TEST(ThreadInvarianceTest, EncoderForwardBitwiseAcrossThreadCounts) {
   Rng rng(71);
   // Big enough that the attention block loop actually forks (the flops
-  // threshold), with a seq_len that exercises ragged kernel tails.
+  // threshold), with a seq_len that exercises ragged kernel tails. Both
+  // flavours of the one forward: inference (chunks lease scores scratch) and
+  // training (with a cache, chunks write their slices of the softmax cache).
   TransformerEncoder enc(/*d_model=*/32, /*num_heads=*/4, /*d_ff=*/64, /*num_layers=*/2,
                          &rng);
   const int seq_len = 7;
   const int batch = 48;
   Matrix x = RandomMatrix(batch * seq_len, 32, &rng);
+  auto forward = [&](bool train) {
+    Workspace ws;
+    TransformerEncoder::Cache cache;
+    return Matrix(*enc.Forward(x, seq_len, &ws, train ? &cache : nullptr));
+  };
   ForEachIsa([&] {
-    Matrix baseline;
-    {
-      ScopedGlobalPool serial(1);
-      baseline = enc.ForwardInference(x, seq_len);
-    }
-    for (int threads : {2, 8}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      ScopedGlobalPool scoped(threads);
-      for (int rep = 0; rep < 3; ++rep) {  // chunk->thread mapping varies; results must not
-        Matrix y = enc.ForwardInference(x, seq_len);
-        ExpectBitwiseEqual(baseline, y, "encoder forward");
+    for (bool train : {false, true}) {
+      SCOPED_TRACE(train ? "training forward" : "inference forward");
+      Matrix baseline;
+      {
+        ScopedGlobalPool serial(1);
+        baseline = forward(train);
+      }
+      for (int threads : {2, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ScopedGlobalPool scoped(threads);
+        for (int rep = 0; rep < 3; ++rep) {  // chunk->thread mapping varies; results must not
+          Matrix y = forward(train);
+          ExpectBitwiseEqual(baseline, y, "encoder forward");
+        }
       }
     }
   });
@@ -340,12 +350,11 @@ AstBatchView ViewOf(const TestWorld& w) {
 
 // The serving contract, acceptance-gated: PredictBatched output is bitwise
 // identical across CDMPP_NUM_THREADS in {1, 2, 8} and across batch splits,
-// for every precision mode (fp32, the pre-encoder int8-heads subset, and the
-// full int8 encoder tier), under both ISAs.
+// for both precision tiers (fp32 and int8), under both ISAs.
 TEST(ThreadInvarianceTest, PredictBatchedBitwiseAcrossThreadCountsFp32AndInt8) {
   TestWorld& w = World();
   AstBatchView view = ViewOf(w);
-  for (Precision mode : {Precision::kFp32, Precision::kInt8Heads, Precision::kInt8}) {
+  for (Precision mode : {Precision::kFp32, Precision::kInt8}) {
     const bool quantized = mode != Precision::kFp32;
     SCOPED_TRACE(PrecisionName(mode));
     ForEachIsa([&] {
@@ -353,8 +362,7 @@ TEST(ThreadInvarianceTest, PredictBatchedBitwiseAcrossThreadCountsFp32AndInt8) {
         Workspace ws;
         out->assign(view.size(), -1.0);
         if (quantized) {
-          w.predictor->PredictBatchedQuantized(view, &ws, out->data(),
-                                               /*num_forward_passes=*/nullptr, mode);
+          w.predictor->PredictBatchedQuantized(view, &ws, out->data());
         } else {
           w.predictor->PredictBatched(view, &ws, out->data());
         }
@@ -382,8 +390,7 @@ TEST(ThreadInvarianceTest, PredictBatchedBitwiseAcrossThreadCountsFp32AndInt8) {
           one.device_ids = {0};
           double pred = -1.0;
           if (quantized) {
-            w.predictor->PredictBatchedQuantized(one, &single_ws, &pred,
-                                                 /*num_forward_passes=*/nullptr, mode);
+            w.predictor->PredictBatchedQuantized(one, &single_ws, &pred);
           } else {
             w.predictor->PredictBatched(one, &single_ws, &pred);
           }

@@ -130,7 +130,7 @@ StressWorld& World() {
       one.asts.push_back(&ast);
       one.device_ids.push_back(0);
       w->expected.push_back(mode != Precision::kFp32
-                                ? w->predictor->PredictBatchedQuantized(one, nullptr, mode)[0]
+                                ? w->predictor->PredictBatchedQuantized(one)[0]
                                 : w->predictor->PredictBatched(one)[0]);
     }
     return w;

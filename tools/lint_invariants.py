@@ -26,12 +26,16 @@ in a temp tree and asserts the linter catches it):
                         nondeterministic; seeded cdmpp::Rng is the only
                         sanctioned randomness.
 
-  R3 workspace-threading  Every ForwardInference *definition* must either
-                        take a Workspace* parameter or construct/lease a
-                        Workspace in its body (the convenience overloads
-                        delegate to the arena path). A ForwardInference that
-                        heap-allocates its output breaks the zero-alloc warm
-                        path contract (tests/dataplane_test.cc).
+  R3 one-forward         Every class under src/nn/ declares at most one
+                        member named Forward, and no identifier
+                        ForwardInference remains anywhere in src/, tests/,
+                        bench/ or examples/. Training and inference share each
+                        layer's one Forward(x, ..., Workspace*, Cache*) — a
+                        null cache is inference — so there is a single
+                        implementation to keep bitwise-consistent and
+                        allocation-free (tests/nn_test.cc,
+                        tests/dataplane_test.cc); a second forward is how the
+                        duplicated paths this rule retired would grow back.
 
   R4 zero-alloc-fork    ParallelFor / ParallelForWithScratch / RunPanels chunk
                         bodies must not contain allocation tokens (new,
@@ -209,38 +213,55 @@ def check_determinism_sources(root):
 
 
 # ---------------------------------------------------------------------------
-# R3: ForwardInference threads a Workspace.
+# R3: one forward per layer.
 # ---------------------------------------------------------------------------
-def check_workspace_threading(root):
+CLASS_HEAD = re.compile(r'\b(?:class|struct)\s+(\w+)[^;{()]*\{')
+FORWARD_MEMBER = re.compile(r'\bForward\s*\(')
+RETIRED_FORWARD = re.compile(r'\bForwardInference\b')
+
+
+def top_level_text(body):
+    """The text of a brace block's own scope: nested brace blocks (member
+    function bodies, nested classes) are blanked out."""
+    out = []
+    depth = 0
+    for ch in body:
+        if ch == '{':
+            depth += 1
+            out.append(' ')
+        elif ch == '}':
+            depth -= 1
+            out.append(' ')
+        else:
+            out.append(ch if depth <= 1 else ' ')
+    return ''.join(out)
+
+
+def check_one_forward(root):
     findings = []
-    for path in iter_source_files(root, [os.path.join("src", "nn"),
-                                         os.path.join("src", "core")],
-                                  exts=(".cc",)):
+    for path in iter_source_files(root, [os.path.join("src", "nn")]):
         rel = relpath(root, path)
         with open(path, encoding="utf-8", errors="replace") as f:
             text = strip_comments_and_strings(f.read())
-        for m in re.finditer(r'\bForwardInference\s*\(', text):
-            params_end = match_bracket(text, m.end() - 1, '(', ')')
-            if params_end == -1:
+        for m in CLASS_HEAD.finditer(text):
+            body_end = match_bracket(text, m.end() - 1, '{', '}')
+            if body_end == -1:
                 continue
-            params = text[m.end():params_end - 1]
-            # Find what follows the parameter list (skipping const/noexcept):
-            # '{' starts a definition, ';' is a declaration, anything else
-            # (e.g. another '(') is a call site.
-            tail = text[params_end:]
-            tail_head = re.match(r'\s*(?:const|noexcept|override|final|\s)*', tail)
-            next_ch = tail[tail_head.end():tail_head.end() + 1]
-            if next_ch != '{':
-                continue  # declaration or call, not a definition
-            if "Workspace" in params:
-                continue
-            body_end = match_bracket(text, params_end + tail_head.end(), '{', '}')
-            body = text[params_end:body_end] if body_end != -1 else tail
-            if "Workspace" not in body:
-                findings.append((rel, line_of(text, m.start()), "workspace-threading",
-                                 "ForwardInference definition neither takes a "
-                                 "Workspace* nor constructs one: output would "
-                                 "heap-allocate on the warm path"))
+            members = list(FORWARD_MEMBER.finditer(top_level_text(text[m.end() - 1:body_end])))
+            if len(members) > 1:
+                findings.append((rel, line_of(text, m.end() - 1 + members[1].start()),
+                                 "one-forward",
+                                 "class %s declares %d members named Forward: a layer "
+                                 "has one forward (a null cache is inference)" %
+                                 (m.group(1), len(members))))
+    for path in iter_source_files(root, ["src", "tests", "bench", "examples"]):
+        rel = relpath(root, path)
+        with open(path, encoding="utf-8", errors="replace") as f:
+            text = strip_comments_and_strings(f.read())
+        for m in RETIRED_FORWARD.finditer(text):
+            findings.append((rel, line_of(text, m.start()), "one-forward",
+                             "ForwardInference is retired: call the layer's one "
+                             "Forward without a cache"))
     return findings
 
 
@@ -407,7 +428,7 @@ def check_zero_alloc_fork(root):
 ALL_RULES = [
     ("isa-isolation", check_isa_isolation),
     ("determinism-sources", check_determinism_sources),
-    ("workspace-threading", check_workspace_threading),
+    ("one-forward", check_one_forward),
     ("zero-alloc-fork", check_zero_alloc_fork),
 ]
 
@@ -447,12 +468,21 @@ SEEDED_VIOLATIONS = {
          "  return slots.size();\n"
          "}\n"),
     ],
-    "workspace-threading": [
-        ("src/nn/bad_layer.cc",
-         "Matrix Foo::ForwardInference(const Matrix& x) const {\n"
-         "  Matrix y(x.rows(), x.cols());\n"
-         "  return y;\n"
-         "}\n")],
+    "one-forward": [
+        # A layer growing a second forward next to its cache-taking one.
+        ("src/nn/bad_layer.h",
+         "class Foo : public Module {\n"
+         " public:\n"
+         "  struct Cache { const Matrix* x = nullptr; };\n"
+         "  Matrix* Forward(const Matrix& x, Workspace* ws, Cache* cache = nullptr) const;\n"
+         "  Matrix Forward(const Matrix& x);\n"
+         "};\n"),
+        # The retired name coming back, at a call site outside src/nn/.
+        ("tests/bad_caller.cc",
+         "void Use(const Foo& foo, const Matrix& x, Workspace* ws) {\n"
+         "  foo.ForwardInference(x, ws);\n"
+         "}\n"),
+    ],
     "zero-alloc-fork": [
         ("src/nn/bad_fork.cc",
          "void Bar(std::vector<float>* v) {\n"
@@ -482,18 +512,27 @@ SEEDED_VIOLATIONS = {
 }
 
 CLEAN_FILES = {
+    "src/nn/good.h":
+        "class Foo : public Module {\n"
+        " public:\n"
+        "  struct Cache {\n"
+        "    const Matrix* x = nullptr;\n"
+        "  };\n"
+        "  Matrix* Forward(const Matrix& x, Workspace* ws, Cache* cache = nullptr) const;\n"
+        "  Matrix* ForwardPreQuantized(const Matrix& x, Workspace* ws) const;\n"
+        "  Matrix Backward(const Cache& cache, const Matrix& dy);\n"
+        "};\n",
     "src/nn/good.cc":
-        "Matrix* Foo::ForwardInference(const Matrix& x, Workspace* ws) const {\n"
+        "Matrix* Foo::Forward(const Matrix& x, Workspace* ws, Cache* cache) const {\n"
         "  Matrix* y = ws->NewMatrix(x.rows(), x.cols());\n"
         "  auto fill = [&](int64_t b, int64_t e) {\n"
         "    for (int64_t i = b; i < e; ++i) y->data()[i] = 0.0f;\n"
         "  };\n"
         "  ParallelFor(0, static_cast<int64_t>(x.size()), 8, fill);\n"
+        "  if (cache != nullptr) {\n"
+        "    cache->x = &x;\n"
+        "  }\n"
         "  return y;\n"
-        "}\n"
-        "Matrix Foo::ForwardInference(const Matrix& x) const {\n"
-        "  Workspace ws;\n"
-        "  return *ForwardInference(x, &ws);\n"
         "}\n",
     "CMakeLists.txt":
         'check_cxx_compiler_flag("-mavx2" HAS_MAVX2)\n'
