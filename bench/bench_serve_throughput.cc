@@ -24,14 +24,12 @@
 #include <future>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/serve/prediction_service.h"
 #include "src/support/cpu_features.h"
-#include "src/support/parallel_for.h"
 #include "src/support/table.h"
 #include "src/tir/schedule.h"
 
@@ -73,9 +71,7 @@ struct RunResult {
   ServerStatsSnapshot stats;
 };
 
-// Drives the request stream against an existing (long-lived) service; the
-// concurrency matrix reuses one service across several pool sizes so worker
-// threads and their arena leases stay warm while only the pool varies.
+// Drives the request stream against an existing (long-lived) service.
 // `reps` repeats the request stream within the measured window — the overhead
 // gate uses it to stretch a run from a few milliseconds (where clock noise
 // swamps a 1% difference) to a resolvable length.
@@ -121,12 +117,6 @@ RunResult RunLoad(CdmppPredictor* predictor, const Workload& w, const ServeOptio
                   int device_id, int reps = 1) {
   PredictionService service(predictor, opts);
   return RunLoadOn(service, w, device_id, reps);
-}
-
-uint64_t CounterOrZero(const std::map<std::string, uint64_t>& counters,
-                       const std::string& name) {
-  const auto it = counters.find(name);
-  return it == counters.end() ? 0 : it->second;
 }
 
 // Counter growth across a measured region (registry counters are cumulative).
@@ -331,140 +321,6 @@ int main(int argc, char** argv) {
               100.0 * int8_flop_fraction,
               int8_fraction_gate_ok ? "PASS" : "FAIL: not a majority");
 
-  // ---- Threads series: batched QPS vs intra-request thread count. ----
-  // The encoder's per-(sample, head) attention blocks and the GEMM row
-  // panels fork across ThreadPool::Global(); this sweep re-runs the batched
-  // workload under private pools of several sizes (the same code path
-  // CDMPP_NUM_THREADS selects at startup) so BENCH_serve.json records how
-  // intra-request parallelism scales on this host. One worker, so the pool
-  // size is the only variable; the concurrency matrix below measures how
-  // worker-level and intra-request parallelism compose. On a single-core
-  // host threads > 1 just timeshare — expect flat-to-slightly-worse numbers
-  // there.
-  ServeOptions intra = batched;
-  intra.num_workers = 1;
-  struct ThreadsRecord {
-    int threads;
-    RunResult result;
-  };
-  std::vector<ThreadsRecord> threads_records;
-  const std::vector<int> threads_sweep =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
-  TablePrinter threads_table({"threads", "QPS (batched)", "p50 (ms)", "p99 (ms)"});
-  for (int threads : threads_sweep) {
-    ThreadPool pool(threads);
-    ThreadPool::SetGlobalForTesting(&pool);
-    RunResult r = RunLoad(&predictor, w, intra, 0);
-    ThreadPool::SetGlobalForTesting(nullptr);
-    threads_table.AddRow({std::to_string(threads), FormatDouble(r.qps, 0),
-                          FormatDouble(r.stats.p50_latency_ms, 3),
-                          FormatDouble(r.stats.p99_latency_ms, 3)});
-    threads_records.push_back({threads, r});
-  }
-  std::printf("\nIntra-request threads series (1 worker, batched, cache disabled):\n");
-  threads_table.Print(stdout);
-  const int default_threads = ThreadPool::Global().num_threads();
-  std::printf("Default pool size on this host: %d (CDMPP_NUM_THREADS overrides).\n",
-              default_threads);
-
-  // ---- Concurrency matrix: serve workers x pool threads, long-lived services. ----
-  // The composition the work-stealing scheduler exists for: with several
-  // serve workers forwarding concurrently, their ParallelFor regions must
-  // compose (steal from each other) instead of convoying — the pre-stealing
-  // pool demoted every contended region to inline serial, so workers=2 x
-  // threads=2 measured like threads=1. One service per workers value lives
-  // across its whole threads sweep (warm arenas, same worker threads); only
-  // the pool changes between runs, and only while the service is idle.
-  struct MatrixRecord {
-    int workers;
-    int threads;
-    RunResult result;
-  };
-  std::vector<MatrixRecord> matrix_records;
-  const std::vector<int> matrix_axis =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
-  const auto matrix_counters_before = obs::MetricsRegistry::Global().CounterValues();
-  TablePrinter matrix_table(
-      {"workers", "threads", "QPS (batched)", "p50 (ms)", "p99 (ms)"});
-  for (int workers : matrix_axis) {
-    ServeOptions mopts = batched;
-    mopts.num_workers = workers;
-    PredictionService service(&predictor, mopts);
-    for (int threads : matrix_axis) {
-      ThreadPool mpool(threads);
-      ThreadPool::SetGlobalForTesting(&mpool);
-      RunResult r = RunLoadOn(service, w, 0);
-      ThreadPool::SetGlobalForTesting(nullptr);
-      matrix_table.AddRow({std::to_string(workers), std::to_string(threads),
-                           FormatDouble(r.qps, 0), FormatDouble(r.stats.p50_latency_ms, 3),
-                           FormatDouble(r.stats.p99_latency_ms, 3)});
-      matrix_records.push_back({workers, threads, r});
-    }
-  }
-  std::printf("\nConcurrency matrix (batched, cache disabled, long-lived services):\n");
-  matrix_table.Print(stdout);
-
-  // Gate: on the workers=2 service, pool threads=2 must beat threads=1 by
-  // >= 1.2x aggregate QPS — the exact configuration that used to collapse to
-  // serial via serial_contended. Interleaved pairs, best-pair ratio (same
-  // noise discipline as the other gates). The speedup needs real cores for
-  // 2 workers x 2 threads, so hosts with fewer than 4 hardware threads SKIP
-  // the ratio (it is still measured and recorded); the serial_contended
-  // assertion below holds on any host.
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  const bool conc_gate_applicable = hw_threads >= 4;
-  const int kConcPairs = 3;
-  const int kConcReps = smoke ? 4 : 2;
-  double qps_w2_t1 = 0.0, qps_w2_t2 = 0.0, best_conc_ratio = 0.0;
-  {
-    ServeOptions gopts = batched;
-    gopts.num_workers = 2;
-    PredictionService service(&predictor, gopts);
-    auto run_with_pool = [&](int threads) {
-      ThreadPool p(threads);
-      ThreadPool::SetGlobalForTesting(&p);
-      const double qps = RunLoadOn(service, w, 0, kConcReps).qps;
-      ThreadPool::SetGlobalForTesting(nullptr);
-      return qps;
-    };
-    for (int i = 0; i < kConcPairs; ++i) {
-      double t1_qps, t2_qps;
-      if (i % 2 == 0) {
-        t1_qps = run_with_pool(1);
-        t2_qps = run_with_pool(2);
-      } else {
-        t2_qps = run_with_pool(2);
-        t1_qps = run_with_pool(1);
-      }
-      qps_w2_t1 = std::max(qps_w2_t1, t1_qps);
-      qps_w2_t2 = std::max(qps_w2_t2, t2_qps);
-      if (t1_qps > 0.0) {
-        best_conc_ratio = std::max(best_conc_ratio, t2_qps / t1_qps);
-      }
-    }
-  }
-  const auto matrix_counters_after = obs::MetricsRegistry::Global().CounterValues();
-  const auto matrix_delta = CounterDelta(matrix_counters_before, matrix_counters_after);
-  const uint64_t conc_serial_contended =
-      CounterOrZero(matrix_delta, "parallel_for.serial_contended");
-  const uint64_t conc_steals = CounterOrZero(matrix_delta, "parallel_for.steals");
-  // Absolute value: the peak counter is a process-lifetime high-water mark.
-  const uint64_t regions_peak =
-      CounterOrZero(matrix_counters_after, "parallel_for.regions_concurrent_peak");
-  const bool conc_contended_ok = conc_serial_contended == 0;
-  const bool conc_qps_gate_ok = !conc_gate_applicable || best_conc_ratio >= 1.2;
-  std::printf("Concurrency gate (2 workers, best of %d interleaved pairs): "
-              "threads=2 %.0f vs threads=1 %.0f QPS, best pair ratio %.3fx [%s]; "
-              "serial_contended delta %llu [%s], steals %llu, regions peak %llu\n",
-              kConcPairs, qps_w2_t2, qps_w2_t1, best_conc_ratio,
-              !conc_gate_applicable
-                  ? "SKIP: < 4 hardware threads"
-                  : (conc_qps_gate_ok ? "PASS" : "FAIL: below 1.2x"),
-              static_cast<unsigned long long>(conc_serial_contended),
-              conc_contended_ok ? "PASS" : "FAIL: regions still convoy",
-              static_cast<unsigned long long>(conc_steals),
-              static_cast<unsigned long long>(regions_peak));
-
   // ---- Per-stage latency breakdown: trace 1-in-4 of the batched workload. ----
   obs::TraceCollector& collector = obs::TraceCollector::Global();
   const int saved_rate = collector.sample_every();
@@ -575,40 +431,7 @@ int main(int argc, char** argv) {
                    rec.result.stats.p50_latency_ms, rec.result.stats.p99_latency_ms,
                    i + 1 < sweep_records.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"num_threads_default\": %d,\n  \"threads_series\": [\n",
-                 default_threads);
-    for (size_t i = 0; i < threads_records.size(); ++i) {
-      const ThreadsRecord& rec = threads_records[i];
-      std::fprintf(f,
-                   "    {\"threads\": %d, \"qps_batched\": %.2f, "
-                   "\"p50_ms\": %.4f, \"p99_ms\": %.4f}%s\n",
-                   rec.threads, rec.result.qps, rec.result.stats.p50_latency_ms,
-                   rec.result.stats.p99_latency_ms,
-                   i + 1 < threads_records.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"concurrency_matrix\": [\n");
-    for (size_t i = 0; i < matrix_records.size(); ++i) {
-      const MatrixRecord& rec = matrix_records[i];
-      std::fprintf(f,
-                   "    {\"workers\": %d, \"threads\": %d, \"qps_batched\": %.2f, "
-                   "\"p50_ms\": %.4f, \"p99_ms\": %.4f}%s\n",
-                   rec.workers, rec.threads, rec.result.qps,
-                   rec.result.stats.p50_latency_ms, rec.result.stats.p99_latency_ms,
-                   i + 1 < matrix_records.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n  \"concurrency_gate\": {\n"
-                 "    \"qps_w2_t1\": %.2f,\n    \"qps_w2_t2\": %.2f,\n"
-                 "    \"best_pair_ratio\": %.4f,\n    \"hardware_threads\": %u,\n"
-                 "    \"serial_contended_delta\": %llu,\n    \"steals_delta\": %llu,\n"
-                 "    \"regions_concurrent_peak\": %llu,\n"
-                 "    \"qps_gate\": \"%s\",\n    \"contended_gate\": \"%s\"\n  },\n",
-                 qps_w2_t1, qps_w2_t2, best_conc_ratio, hw_threads,
-                 static_cast<unsigned long long>(conc_serial_contended),
-                 static_cast<unsigned long long>(conc_steals),
-                 static_cast<unsigned long long>(regions_peak),
-                 !conc_gate_applicable ? "skip" : (conc_qps_gate_ok ? "pass" : "fail"),
-                 conc_contended_ok ? "pass" : "fail");
+    std::fprintf(f, "  ],\n");
     // Precision A/B series and the int8-vs-fp32 batched-QPS gate record.
     std::fprintf(f, "  \"precision_series\": [\n");
     for (size_t i = 0; i < precision_records.size(); ++i) {
@@ -704,25 +527,6 @@ int main(int argc, char** argv) {
                  "FAIL: int8 tier served only %.1f%% of GEMM FLOPs in CDMPP_PRECISION=int8 "
                  "mode (need a majority)\n",
                  100.0 * int8_flop_fraction);
-    rc = 1;
-  }
-  if (!conc_gate_applicable) {
-    std::fprintf(stderr,
-                 "SKIP: concurrency 1.2x QPS gate (%u hardware threads < 4; best pair "
-                 "ratio measured %.3fx)\n",
-                 hw_threads, best_conc_ratio);
-  } else if (!conc_qps_gate_ok) {
-    std::fprintf(stderr,
-                 "FAIL: 2 workers x 2 threads did not reach 1.2x the QPS of 2 workers x "
-                 "1 thread (best pair ratio %.3fx)\n",
-                 best_conc_ratio);
-    rc = 1;
-  }
-  if (!conc_contended_ok) {
-    std::fprintf(stderr,
-                 "FAIL: parallel_for.serial_contended moved by %llu during the concurrency "
-                 "matrix — contended top-level regions must fork, not serialize\n",
-                 static_cast<unsigned long long>(conc_serial_contended));
     rc = 1;
   }
   return rc;

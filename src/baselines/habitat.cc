@@ -92,7 +92,6 @@ void HabitatModel::Fit(const Dataset& ds, const std::vector<int>& train, int sou
             x.At(i, j) = f[static_cast<size_t>(j)];
           }
         }
-        op->mlp->ZeroGrad();
         ws.Reset();
         const Matrix& pred = *op->mlp->Forward(x, &ws, &cache);
         Matrix dpred(b, 1);
@@ -100,7 +99,7 @@ void HabitatModel::Fit(const Dataset& ds, const std::vector<int>& train, int sou
           float t = op->log_labels[static_cast<size_t>(order[static_cast<size_t>(start + i)])];
           dpred.At(i, 0) = 2.0f * (pred.At(i, 0) - t) / static_cast<float>(b);
         }
-        op->mlp->Backward(cache, dpred);
+        op->mlp->Backward(cache, dpred, &ws);
         op->adam->Step();
       }
     }

@@ -207,9 +207,6 @@ double TiramisuModel::Fit(const Dataset& ds, const std::vector<int>& train) {
       // MAPE objective (Tiramisu's default).
       float denom = std::max(1e-3f, std::abs(target));
       float dout = (pred >= target ? 1.0f : -1.0f) / denom;
-      for (Param* p : params) {
-        p->grad.Zero();
-      }
       BackpropProgram(dout);
       // Per-sample updates are noisy; clip the global gradient norm.
       double norm_sq = 0.0;

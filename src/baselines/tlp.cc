@@ -84,7 +84,6 @@ void TlpModel::Fit(const Dataset& ds, const std::vector<int>& train) {
         targets[static_cast<size_t>(i)] =
             static_cast<float>(std::log(std::max(1e-6, s.latency_seconds / mean)));
       }
-      mlp_->ZeroGrad();
       ws.Reset();
       const Matrix& pred = *mlp_->Forward(x, &ws, &cache);
       Matrix dpred(b, 1);
@@ -92,7 +91,7 @@ void TlpModel::Fit(const Dataset& ds, const std::vector<int>& train) {
         dpred.At(i, 0) =
             2.0f * (pred.At(i, 0) - targets[static_cast<size_t>(i)]) / static_cast<float>(b);
       }
-      mlp_->Backward(cache, dpred);
+      mlp_->Backward(cache, dpred, &ws);
       adam_->Step();
     }
   }

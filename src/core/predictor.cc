@@ -8,6 +8,7 @@
 #include "src/ml/transforms.h"
 #include "src/obs/trace.h"
 #include "src/support/check.h"
+#include "src/support/parallel_for.h"
 #include "src/support/stats.h"
 
 namespace cdmpp {
@@ -23,7 +24,7 @@ double ClampTransformed(double t) {
   return std::clamp(t, kLabelShift - 6.0, kLabelShift + 6.0);
 }
 
-// Reshapes [B*L, D] <-> [B, L*D] (row-major, so this is a pure view change).
+// Reshapes [B*L, D] -> [B, L*D] (row-major, so this is a pure view change).
 void PackRowsInto(const Matrix& x, int batch, int seq_len, Matrix* out) {
   CDMPP_CHECK(x.rows() == batch * seq_len);
   CDMPP_CHECK(out->rows() == batch && out->cols() == seq_len * x.cols());
@@ -36,21 +37,6 @@ void PackRowsInto(const Matrix& x, int batch, int seq_len, Matrix* out) {
       }
     }
   }
-}
-
-Matrix UnpackRows(const Matrix& x, int seq_len, int d_model) {
-  CDMPP_CHECK(x.cols() == seq_len * d_model);
-  Matrix out(x.rows() * seq_len, d_model);
-  for (int b = 0; b < x.rows(); ++b) {
-    const float* src = x.Row(b);
-    for (int t = 0; t < seq_len; ++t) {
-      float* dst = out.Row(b * seq_len + t);
-      for (int j = 0; j < d_model; ++j) {
-        dst[j] = src[t * d_model + j];
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -107,12 +93,12 @@ void CdmppPredictor::EnsureHeads(const Dataset& ds, const std::vector<int>& indi
 }
 
 void CdmppPredictor::RebuildOptimizer() {
-  std::vector<Param*> params;
-  CollectAllParams(&params);
+  params_.clear();
+  CollectAllParams(&params_);
   if (config_.optimizer == OptimizerKind::kAdam) {
-    optimizer_ = std::make_unique<Adam>(std::move(params), config_.lr, config_.weight_decay);
+    optimizer_ = std::make_unique<Adam>(params_, config_.lr, config_.weight_decay);
   } else {
-    optimizer_ = std::make_unique<Sgd>(std::move(params), config_.lr);
+    optimizer_ = std::make_unique<Sgd>(params_, config_.lr);
   }
   if (config_.use_cyclic_lr) {
     scheduler_ =
@@ -122,54 +108,199 @@ void CdmppPredictor::RebuildOptimizer() {
   }
 }
 
-void CdmppPredictor::Backward(const ForwardCache& cache, const Matrix& dpred,
-                              const Matrix& dz_extra) {
-  const int b = cache.batch;
-  const int l = cache.seq_len;
-  Matrix dz;
-  if (!dpred.empty()) {
-    dz = decoder_->Backward(cache.decoder, dpred);
-  } else {
-    dz = Matrix(b, config_.z_dim + config_.device_embed_dim);
+// Leases one arena per pool thread into shards_ for one training step or
+// one sharded inference sweep, and returns them in reverse so the LIFO pool
+// hands each shard its own warm arena back next time.
+class CdmppPredictor::ShardsHeld {
+ public:
+  explicit ShardsHeld(CdmppPredictor* p) : p_(p) {
+    p_->shards_.resize(static_cast<size_t>(ThreadPool::Global().num_threads()));
+    for (ShardState& shard : p_->shards_) {
+      shard.ws = WorkspacePool::Global().Acquire();
+    }
   }
-  if (!dz_extra.empty()) {
-    dz.AddInPlace(dz_extra);
+  ~ShardsHeld() {
+    for (size_t i = p_->shards_.size(); i-- > 0;) {
+      p_->shards_[i].ws.reset();
+    }
   }
+  ShardsHeld(const ShardsHeld&) = delete;
+  ShardsHeld& operator=(const ShardsHeld&) = delete;
 
-  Matrix dzx(b, config_.z_dim);
-  Matrix dzv(b, config_.device_embed_dim);
-  for (int i = 0; i < b; ++i) {
-    const float* row = dz.Row(i);
-    for (int j = 0; j < config_.z_dim; ++j) {
-      dzx.At(i, j) = row[j];
+ private:
+  CdmppPredictor* p_;
+};
+
+int CdmppPredictor::ShardedForward(const AstBatchView& view, const Batch& batch, bool train,
+                                   Matrix* z) {
+  const int rows = static_cast<int>(batch.sample_indices.size());
+  const int count = std::min(static_cast<int>(shards_.size()), rows);
+  CDMPP_CHECK(count > 0);
+  for (int s = 0; s < count; ++s) {
+    ShardState& shard = shards_[static_cast<size_t>(s)];
+    shard.first_row = static_cast<int>(static_cast<int64_t>(rows) * s / count);
+    const int last = static_cast<int>(static_cast<int64_t>(rows) * (s + 1) / count);
+    shard.batch.seq_len = batch.seq_len;
+    shard.batch.sample_indices.assign(batch.sample_indices.begin() + shard.first_row,
+                                      batch.sample_indices.begin() + last);
+  }
+  ThreadPool::Global().ParallelFor(0, count, 1, [&](int64_t s0, int64_t s1) {
+    for (int64_t s = s0; s < s1; ++s) {
+      ShardState& shard = shards_[static_cast<size_t>(s)];
+      shard.ws->Reset();
+      shard.out = ForwardBatch(view, shard.batch, /*int8=*/false, shard.ws.get(),
+                               train ? &shard.cache : nullptr);
     }
-    for (int j = 0; j < config_.device_embed_dim; ++j) {
-      dzv.At(i, j) = row[config_.z_dim + j];
+  });
+  if (z != nullptr) {
+    z->Resize(rows, config_.z_dim + config_.device_embed_dim);
+    for (int s = 0; s < count; ++s) {
+      const Matrix& shard_z = *shards_[static_cast<size_t>(s)].out.z;
+      std::copy(shard_z.data(), shard_z.data() + shard_z.size(),
+                z->Row(shards_[static_cast<size_t>(s)].first_row));
     }
   }
-  device_mlp_->Backward(cache.device_mlp, dzv);
-  Matrix dh_flat = leaf_heads_.at(l)->Backward(cache.head, dzx);
-  Matrix dh = UnpackRows(dh_flat, l, config_.d_model);
-  input_proj_->Backward(cache.input_proj, encoder_->Backward(cache.encoder, dh));
+  return count;
 }
 
-void CdmppPredictor::ClipGradients() {
-  if (config_.grad_clip <= 0.0) {
-    return;
-  }
-  std::vector<Param*> params;
-  CollectAllParams(&params);
-  double norm_sq = 0.0;
-  for (Param* p : params) {
-    norm_sq += p->grad.SquaredNorm();
-  }
-  double norm = std::sqrt(norm_sq);
-  if (norm > config_.grad_clip) {
-    float scale = static_cast<float>(config_.grad_clip / norm);
-    for (Param* p : params) {
-      p->grad.Scale(scale);
+template <typename Emit>
+void CdmppPredictor::ShardedInference(const Dataset& ds, const std::vector<int>& indices,
+                                      Emit&& emit) {
+  CDMPP_CHECK(fitted_);
+  EnsureHeads(ds, indices);
+  const AstBatchView view = DatasetView(ds, indices);
+  ShardsHeld held(this);
+  BatchPlan plan;
+  plan.Build(view, config_.batch_size);
+  for (int bi = 0; bi < plan.num_batches(); ++bi) {
+    const int count = ShardedForward(view, plan.batch(bi), /*train=*/false);
+    for (int s = 0; s < count; ++s) {
+      const ShardState& shard = shards_[static_cast<size_t>(s)];
+      for (size_t i = 0; i < shard.batch.sample_indices.size(); ++i) {
+        emit(shard.batch.sample_indices[i], shard.out, static_cast<int>(i));
+      }
     }
   }
+}
+
+void CdmppPredictor::ShardedBackward(int count, const float* dpred, const float* dz_extra) {
+  const int z_width = config_.z_dim + config_.device_embed_dim;
+  // noexcept: a shard that threw out of Backward would never pass the
+  // GradTurns it still owes, and every later shard would wait on them
+  // forever. An exception here (an arena that cannot grow) therefore ends
+  // the process, like a failed CDMPP_CHECK, instead of hanging the pool.
+  ThreadPool::Global().ParallelFor(0, count, 1, [&](int64_t s0, int64_t s1) noexcept {
+    for (int64_t s = s0; s < s1; ++s) {
+      ShardState& shard = shards_[static_cast<size_t>(s)];
+      const int row = shard.first_row;
+      Backward(shard.cache, dpred != nullptr ? dpred + row : nullptr,
+               dz_extra != nullptr ? dz_extra + static_cast<int64_t>(row) * z_width : nullptr,
+               shard.ws.get(), Shard{static_cast<int>(s), count});
+    }
+  });
+}
+
+void CdmppPredictor::Backward(const ForwardCache& cache, const float* dpred,
+                              const float* dz_extra, Workspace* ws, const Shard& shard) {
+  const int b = cache.batch;
+  const int l = cache.seq_len;
+  Matrix* dz = nullptr;
+  if (dpred != nullptr) {
+    Matrix* dp = ws->NewMatrix(b, 1);
+    std::copy(dpred, dpred + b, dp->data());
+    dz = decoder_->Backward(cache.decoder, *dp, ws, shard);
+  } else {
+    dz = ws->NewMatrix(b, config_.z_dim + config_.device_embed_dim);
+    dz->Zero();
+  }
+  if (dz_extra != nullptr) {
+    for (size_t i = 0; i < dz->size(); ++i) {
+      dz->data()[i] += dz_extra[i];
+    }
+  }
+
+  Matrix* dzx = ws->NewMatrix(b, config_.z_dim);
+  Matrix* dzv = ws->NewMatrix(b, config_.device_embed_dim);
+  for (int i = 0; i < b; ++i) {
+    const float* row = dz->Row(i);
+    std::copy(row, row + config_.z_dim, dzx->Row(i));
+    std::copy(row + config_.z_dim, row + dz->cols(), dzv->Row(i));
+  }
+  device_mlp_->Backward(cache.device_mlp, *dzv, ws, shard);
+  // The head's input gradient [B, L*D] is the encoder output's [B*L, D] in
+  // the same row-major bytes: reshaping it is the unpack.
+  Matrix* dh = leaf_heads_.at(l)->Backward(cache.head, *dzx, ws, shard);
+  dh->Resize(b * l, config_.d_model);
+  // The input projection's input is the feature matrix: no gradient needed.
+  input_proj_->BackwardInto(cache.input_proj, *encoder_->Backward(cache.encoder, *dh, ws, shard),
+                            ws, shard, /*dx=*/nullptr, /*accumulate=*/false);
+}
+
+void CdmppPredictor::OptimizerStep() {
+  // Clipping by the global gradient norm; the update applies the scale.
+  float clip_scale = 1.0f;
+  if (config_.grad_clip > 0.0) {
+    double norm_sq = 0.0;
+    for (Param* p : params_) {
+      norm_sq += p->grad.SquaredNorm();
+    }
+    const double norm = std::sqrt(norm_sq);
+    if (norm > config_.grad_clip) {
+      clip_scale = static_cast<float>(config_.grad_clip / norm);
+    }
+  }
+  ThreadPool& pool = ThreadPool::Global();
+  optimizer_->BeginStep();
+  const int64_t total = optimizer_->num_values();
+  // One value range per pool thread (finer chunks measured no faster).
+  const int64_t grain = (total + pool.num_threads() - 1) / pool.num_threads();
+  pool.ParallelFor(0, total, grain,
+                   [&](int64_t v0, int64_t v1) { optimizer_->Update(v0, v1, clip_scale); });
+}
+
+double CdmppPredictor::TrainStep(const AstBatchView& view, const Batch& batch,
+                                 const float* targets, const CmdPass* cmd) {
+  CDMPP_CHECK(fitted_ && optimizer_ != nullptr);
+  ShardsHeld held(this);
+  optimizer_->set_learning_rate(scheduler_->LrAt(global_step_));
+
+  // ---- Prediction loss pass. ----
+  const size_t n = batch.sample_indices.size();
+  const int count = ShardedForward(view, batch, /*train=*/true);
+  step_preds_.resize(n);
+  step_targets_.resize(n);
+  step_grad_.resize(n);
+  for (int s = 0; s < count; ++s) {
+    const ShardState& shard = shards_[static_cast<size_t>(s)];
+    for (int i = 0; i < shard.out.preds->rows(); ++i) {
+      step_preds_[static_cast<size_t>(shard.first_row + i)] = shard.out.preds->At(i, 0);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    step_targets_[i] = targets[batch.sample_indices[i]];
+  }
+  double step_loss = ComputeLoss(config_.loss, step_preds_.data(), step_targets_.data(), n,
+                                 config_.lambda_mape, step_grad_.data());
+  ShardedBackward(count, step_grad_.data(), nullptr);
+
+  // ---- CMD regularizer pass. ----
+  if (cmd != nullptr) {
+    // The constant side needs no cache: only its latents enter the CMD.
+    ShardedForward(view, *cmd->const_side, /*train=*/false, &z_const_);
+    const int grad_count = ShardedForward(view, *cmd->grad_side, /*train=*/true, &z_grad_);
+    dz_grad_.Resize(z_grad_.rows(), z_grad_.cols());
+    dz_grad_.Zero();
+    dz_const_.Resize(z_const_.rows(), z_const_.cols());
+    dz_const_.Zero();
+    const double distance = CmdDistanceWithGrad(z_grad_, z_const_, config_.cmd_moments,
+                                                /*span=*/-1.0, cmd->alpha, &dz_grad_, &dz_const_);
+    ShardedBackward(grad_count, nullptr, dz_grad_.data());
+    step_loss += cmd->alpha * distance;
+  }
+
+  OptimizerStep();
+  ++global_step_;
+  return step_loss;
 }
 
 std::vector<Matrix> CdmppPredictor::SnapshotParams() {
@@ -249,8 +380,6 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
   auto buckets = GroupByLeafCount(ds, train);
   // Batches hold sample indices, which are positions into this view.
   const AstBatchView view = DatasetView(ds);
-  ForwardCache cache;
-  Matrix z_const;  // the CMD pass's constant-side latents
 
   // Pre-transform all labels once.
   std::vector<float> transformed(ds.samples.size(), 0.0f);
@@ -282,69 +411,23 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
     }
     double epoch_loss = 0.0;
     size_t step_in_epoch = 0;
-    // Every pass of the epoch draws its tensors from one arena, rewound
-    // before each pass. It is leased from the global pool and returned before
-    // validation, and the pool lends the most recently returned arena first:
-    // Evaluate's forward reuses these warm buffers instead of growing a
-    // second arena.
-    WorkspacePool::Lease ws = WorkspacePool::Global().Acquire();
     for (const Batch& batch : batches) {
-      optimizer_->set_learning_rate(scheduler_->LrAt(global_step_));
-      // Zero all grads.
-      std::vector<Param*> params;
-      CollectAllParams(&params);
-      for (Param* p : params) {
-        p->grad.Zero();
-      }
-
-      // ---- Prediction loss pass. ----
-      ws->Reset();
-      const Matrix& fwd_preds =
-          *ForwardBatch(view, batch, /*int8=*/false, ws.get(), &cache).preds;
-      std::vector<float> preds(batch.sample_indices.size());
-      std::vector<float> targets(batch.sample_indices.size());
-      for (size_t i = 0; i < batch.sample_indices.size(); ++i) {
-        preds[i] = fwd_preds.At(static_cast<int>(i), 0);
-        targets[i] = transformed[static_cast<size_t>(batch.sample_indices[i])];
-      }
-      LossResult loss = ComputeLoss(config_.loss, preds, targets, config_.lambda_mape);
-      Matrix dpred(static_cast<int>(preds.size()), 1);
-      for (size_t i = 0; i < preds.size(); ++i) {
-        dpred.At(static_cast<int>(i), 0) = loss.grad[i];
-      }
-      Backward(cache, dpred, Matrix());
-      double step_loss = loss.value;
-
-      // ---- CMD regularizer pass (one side per step, alternating). ----
+      // One side per step, alternating.
+      CmdPass pass;
+      const CmdPass* cmd = nullptr;
       if (alpha > 0.0 && !src_batches.empty() && !tgt_batches.empty()) {
-        bool update_source = (step_in_epoch % 2) == 0;
-        const Batch& const_batch =
-            update_source ? tgt_batches[step_in_epoch % tgt_batches.size()]
-                          : src_batches[step_in_epoch % src_batches.size()];
-        const Batch& grad_batch =
-            update_source ? src_batches[step_in_epoch % src_batches.size()]
-                          : tgt_batches[step_in_epoch % tgt_batches.size()];
-        // The constant side needs no cache: only its latents enter the CMD.
-        ws->Reset();
-        z_const = *ForwardBatch(view, const_batch, /*int8=*/false, ws.get(), nullptr).z;
-        ws->Reset();
-        const Matrix& z_grad = *ForwardBatch(view, grad_batch, false, ws.get(), &cache).z;
-        Matrix dz(z_grad.rows(), z_grad.cols());
-        Matrix dz_const(z_const.rows(), z_const.cols());
-        double cmd = CmdDistanceWithGrad(z_grad, z_const, config_.cmd_moments,
-                                         /*span=*/-1.0, alpha, &dz, &dz_const);
-        Backward(cache, Matrix(), dz);
-        step_loss += alpha * cmd;
+        const bool update_source = (step_in_epoch % 2) == 0;
+        const Batch& src = src_batches[step_in_epoch % src_batches.size()];
+        const Batch& tgt = tgt_batches[step_in_epoch % tgt_batches.size()];
+        pass.grad_side = update_source ? &src : &tgt;
+        pass.const_side = update_source ? &tgt : &src;
+        pass.alpha = alpha;
+        cmd = &pass;
       }
-
-      ClipGradients();
-      optimizer_->Step();
-      ++global_step_;
+      epoch_loss += TrainStep(view, batch, transformed.data(), cmd);
       ++step_in_epoch;
       samples_seen += batch.sample_indices.size();
-      epoch_loss += step_loss;
     }
-    ws.reset();
     stats.epoch_train_loss.push_back(epoch_loss / std::max<size_t>(1, batches.size()));
 
     if (!valid.empty()) {
@@ -371,9 +454,11 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
 }
 
 std::vector<double> CdmppPredictor::Predict(const Dataset& ds, const std::vector<int>& indices) {
-  CDMPP_CHECK(fitted_);
-  EnsureHeads(ds, indices);
-  return PredictBatched(DatasetView(ds, indices));
+  std::vector<double> out(indices.size(), 0.0);
+  ShardedInference(ds, indices, [&](int position, const BatchForward& fwd, int row) {
+    out[static_cast<size_t>(position)] = ToSeconds(fwd.preds->At(row, 0));
+  });
+  return out;
 }
 
 double CdmppPredictor::PredictAst(const CompactAst& ast, int device_id) {
@@ -447,9 +532,8 @@ std::vector<double> CdmppPredictor::PredictBatched(const AstBatchView& view,
                                                    uint64_t* num_forward_passes) const {
   // Arena leased from the process-wide pool: repeated callers (PredictAst,
   // tests, the replayer) share warm arenas with the serving workers and the
-  // batch-row-parallel layer chunks instead of each thread growing a private
-  // one. Checkout never blocks, so this composes with the nested scratch
-  // leases the forward takes internally.
+  // training shards instead of each thread growing a private one. The
+  // forward runs on the calling thread and takes no other lease.
   WorkspacePool::Lease ws = WorkspacePool::Global().Acquire();
   std::vector<double> out(view.size(), 0.0);
   PredictBatched(view, ws.get(), out.data(), num_forward_passes);
@@ -555,6 +639,10 @@ CdmppPredictor::BatchForward CdmppPredictor::ForwardBatch(const AstBatchView& vi
   return out;
 }
 
+double CdmppPredictor::ToSeconds(float pred) const {
+  return label_transform_->Inverse(ClampTransformed(static_cast<double>(pred))) / kSecondsToMs;
+}
+
 void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws, double* out,
                                         uint64_t* num_forward_passes, bool int8) const {
   CDMPP_CHECK(fitted_);
@@ -586,9 +674,8 @@ void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws,
       // accounted to their host stage.)
       obs::ScopedSpan span(obs::Stage::kDequant);
       for (size_t i = 0; i < batch.sample_indices.size(); ++i) {
-        double pred_ms = label_transform_->Inverse(
-            ClampTransformed(static_cast<double>(preds.At(static_cast<int>(i), 0))));
-        out[static_cast<size_t>(batch.sample_indices[i])] = pred_ms / kSecondsToMs;
+        out[static_cast<size_t>(batch.sample_indices[i])] =
+            ToSeconds(preds.At(static_cast<int>(i), 0));
       }
     }
   }
@@ -632,22 +719,10 @@ EvalStats CdmppPredictor::Evaluate(const Dataset& ds, const std::vector<int>& in
 }
 
 Matrix CdmppPredictor::EncodeLatent(const Dataset& ds, const std::vector<int>& indices) {
-  CDMPP_CHECK(fitted_);
-  EnsureHeads(ds, indices);
-  const AstBatchView view = DatasetView(ds, indices);
   Matrix out(static_cast<int>(indices.size()), config_.z_dim + config_.device_embed_dim);
-  BatchPlan plan;
-  plan.Build(view, config_.batch_size);
-  WorkspacePool::Lease ws = WorkspacePool::Global().Acquire();
-  for (int bi = 0; bi < plan.num_batches(); ++bi) {
-    const Batch& batch = plan.batch(bi);
-    ws->Reset();
-    const Matrix& z = *ForwardBatch(view, batch, /*int8=*/false, ws.get(), /*cache=*/nullptr).z;
-    for (size_t i = 0; i < batch.sample_indices.size(); ++i) {
-      std::copy(z.Row(static_cast<int>(i)), z.Row(static_cast<int>(i)) + z.cols(),
-                out.Row(batch.sample_indices[i]));
-    }
-  }
+  ShardedInference(ds, indices, [&](int position, const BatchForward& fwd, int row) {
+    std::copy(fwd.z->Row(row), fwd.z->Row(row) + fwd.z->cols(), out.Row(position));
+  });
   return out;
 }
 

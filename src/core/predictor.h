@@ -102,7 +102,7 @@ class CdmppPredictor {
                       const std::vector<int>& target_domain, int epochs);
 
   // Predicted latencies in seconds (inverse-transformed). Runs the serving
-  // forward (PredictBatched), so results equal PredictAst bitwise.
+  // forward, so results equal PredictAst bitwise.
   std::vector<double> Predict(const Dataset& ds, const std::vector<int>& indices);
   // Predicts a single program (by dataset program index) on a device.
   double PredictProgram(const Dataset& ds, int program_index, int device_id);
@@ -190,7 +190,30 @@ class CdmppPredictor {
 
   EvalStats Evaluate(const Dataset& ds, const std::vector<int>& indices);
 
-  // Latent representations z = z_x (+) z_v, one row per sample.
+  // ---- Training step -------------------------------------------------------
+  //
+  // One optimizer step, the unit Pretrain and Finetune loop over. The batch
+  // is split into consecutive sample shards, one per pool thread, each with
+  // its own arena and forward cache. The step forks once per phase: the
+  // shards' forwards, the loss on the joined predictions, the shards'
+  // backwards (adding to each parameter gradient in shard order, so the
+  // parameters come out bitwise the same at every pool size; README
+  // "Threading model"), and the clipped update split across the pool. A
+  // warm step allocates nothing. `batch` holds positions into `view`, and
+  // targets[position] is that sample's transformed label. With `cmd`, a
+  // second pass adds alpha * CMD between the latents of its two batches
+  // (paper §5.3; only grad_side is backpropagated). Returns the step loss.
+  struct CmdPass {
+    const Batch* grad_side = nullptr;
+    const Batch* const_side = nullptr;
+    double alpha = 0.0;
+  };
+  double TrainStep(const AstBatchView& view, const Batch& batch, const float* targets,
+                   const CmdPass* cmd = nullptr);
+
+  // Latent representations z = z_x (+) z_v, one row per sample. Predict,
+  // Evaluate and EncodeLatent shard each batch's forward across the pool
+  // like TrainStep; the rows are bitwise those of PredictBatched.
   Matrix EncodeLatent(const Dataset& ds, const std::vector<int>& indices);
 
   const PredictorConfig& config() const { return config_; }
@@ -219,6 +242,17 @@ class CdmppPredictor {
     Matrix* preds = nullptr;  // [B, 1]
   };
 
+  // One consecutive-sample shard of a batch: the arena its passes draw
+  // from, its samples, and what its passes produce.
+  struct ShardState {
+    WorkspacePool::Lease ws;
+    Batch batch;
+    int first_row = 0;  // row of batch.sample_indices[0] in the whole batch
+    ForwardCache cache;
+    BatchForward out;
+  };
+  class ShardsHeld;  // leases the shard arenas, see predictor.cc
+
   // Creates per-leaf-count heads for every leaf count in the dataset subset.
   void EnsureHeads(const Dataset& ds, const std::vector<int>& indices);
   // Per-channel activation scales for a head's packed encoder-output input
@@ -226,6 +260,8 @@ class CdmppPredictor {
   std::vector<float> HeadColumnScales(int leaf_count, const Linear& head) const;
   void RebuildOptimizer();
   void CollectAllParams(std::vector<Param*>* out);
+  // A transformed model output as a latency in seconds.
+  double ToSeconds(float pred) const;
 
   // The one per-batch forward, shared by training, evaluation and serving:
   // `batch` holds positions into `view` that all have batch.seq_len leaves.
@@ -237,10 +273,28 @@ class CdmppPredictor {
   // Serving loop over ForwardBatch for the fp32 and int8 tiers.
   void PredictBatchedImpl(const AstBatchView& view, Workspace* ws, double* out,
                           uint64_t* num_forward_passes, bool int8) const;
-  // Backprops d(loss)/d(pred) [B,1] and optionally d(loss)/dz (may be empty)
-  // through the pass `cache` recorded.
-  void Backward(const ForwardCache& cache, const Matrix& dpred, const Matrix& dz_extra);
-  void ClipGradients();
+  // Splits `batch` into consecutive shards (at most one per held arena, at
+  // least one sample each) and runs their fp32 forwards across the pool,
+  // recording caches when `train`; with `z`, gathers their latents into it
+  // in batch order. Returns the number of shards.
+  int ShardedForward(const AstBatchView& view, const Batch& batch, bool train,
+                     Matrix* z = nullptr);
+  // The sharded cache-free forward over the given samples (creating missing
+  // heads): emit(view position, shard output, row) for every sample.
+  template <typename Emit>
+  void ShardedInference(const Dataset& ds, const std::vector<int>& indices, Emit&& emit);
+  // Runs the `count` shards' Backward across the pool. dpred[row] is
+  // d(loss)/d(pred) and dz_extra row `row` is an extra d(loss)/dz; either
+  // may be null.
+  void ShardedBackward(int count, const float* dpred, const float* dz_extra);
+  // Backprops one shard's pass: dpred[b] and/or dz_extra[b, z width] (each
+  // may be null) at the shard's rows, temporaries from `ws`.
+  void Backward(const ForwardCache& cache, const float* dpred, const float* dz_extra,
+                Workspace* ws, const Shard& shard);
+  // Gradient clipping (the norm summed on the caller) and the optimizer
+  // update, split across the pool; it leaves every gradient zero for the
+  // next step.
+  void OptimizerStep();
   std::vector<Matrix> SnapshotParams();
   void RestoreParams(const std::vector<Matrix>& snapshot);
 
@@ -262,6 +316,13 @@ class CdmppPredictor {
   std::unique_ptr<Optimizer> optimizer_;
   std::unique_ptr<LrScheduler> scheduler_;
   int64_t global_step_ = 0;
+  std::vector<Param*> params_;  // CollectAllParams order, as the optimizer holds them
+
+  // Sharded passes (arenas leased per step or inference sweep) and the
+  // training step's reused buffers: warm steps allocate nothing.
+  std::vector<ShardState> shards_;
+  std::vector<float> step_preds_, step_targets_, step_grad_;
+  Matrix z_grad_, z_const_, dz_grad_, dz_const_;
 
   StandardScaler scaler_;
   std::unique_ptr<LabelTransform> label_transform_;

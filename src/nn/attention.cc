@@ -4,100 +4,43 @@
 #include <cmath>
 
 #include "src/obs/trace.h"
-#include "src/support/parallel_for.h"
 
 namespace cdmpp {
 
 namespace {
 
-// Copies the [seq_len, d_head] block for (sample, head) out of a packed
-// [batch * seq_len, d_model] matrix into `out` (capacity-preserving resize:
-// Backward reuses one hoisted block across every (sample, head) instead of
-// churning a heap temporary per iteration).
-void ExtractBlockInto(const Matrix& packed, int sample, int head, int seq_len, int d_head,
-                      Matrix* out) {
-  out->Resize(seq_len, d_head);
-  for (int t = 0; t < seq_len; ++t) {
-    const float* src = packed.Row(sample * seq_len + t) + head * d_head;
-    float* dst = out->Row(t);
-    for (int j = 0; j < d_head; ++j) {
-      dst[j] = src[j];
-    }
-  }
-}
-
-// Adds a [seq_len, d_head] block back into the packed layout.
-void AccumulateBlock(Matrix* packed, const Matrix& block, int sample, int head, int seq_len,
-                     int d_head) {
-  for (int t = 0; t < seq_len; ++t) {
-    float* dst = packed->Row(sample * seq_len + t) + head * d_head;
-    const float* src = block.Row(t);
-    for (int j = 0; j < d_head; ++j) {
-      dst[j] += src[j];
-    }
-  }
-}
-
 // The per-(sample, head) fp32 score/context loop shared verbatim by the fp32
 // and int8 attention forwards (only the Q/K/V/output *projections* differ
 // between the two tiers; the activation×activation GEMMs are identical).
 // q_all must already carry the folded 1/sqrt(d_head) softmax scale. Every
-// (sample, head) writes its own disjoint [seq_len, d_head] block of the
-// returned context, so no zero-fill or reduction is needed — and the blocks
-// split across cores. Each block's scores/softmax land in its own slice of
-// `probs` when the caller keeps them for Backward; otherwise each forked
-// chunk leases a scores scratch arena from the global WorkspacePool (the
-// caller's `ws` stays single-owner). Per-element accumulation order inside
-// each block is fixed by the kernels regardless of partition, so the output
-// is bitwise identical for every thread count. Inner GEMMs of forked chunks
-// run inline (nested ParallelFor is serial), which the kernels'
-// partition-independence keeps bitwise too.
-Matrix* AttentionContext(const Matrix& q_all, const Matrix& k_all, const Matrix& v_all,
-                         int batch, int seq_len, int num_heads, int d_head, int d_model,
-                         Matrix* probs, Workspace* ws) {
-  Matrix* context = ws->NewMatrix(batch * seq_len, d_model);
-  const int64_t blocks = static_cast<int64_t>(batch) * num_heads;
-  // One chunk of the block loop: scratch is that chunk's private scores
-  // buffer (unused with `probs`); all other reads/writes are disjoint per
-  // block, so the arithmetic is the same whichever buffer backs it.
-  auto process = [&](float* scratch, int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const int b = static_cast<int>(i / num_heads);
-      const int h = static_cast<int>(i % num_heads);
-      const float* q = q_all.Row(b * seq_len) + h * d_head;
-      const float* k = k_all.Row(b * seq_len) + h * d_head;
-      const float* v = v_all.Row(b * seq_len) + h * d_head;
-      float* ctx = context->Row(b * seq_len) + h * d_head;
-      float* scores = probs != nullptr ? probs->Row(static_cast<int>(i) * seq_len) : scratch;
-      // scores = (Q/sqrt(d))·Kᵀ directly on the packed layout
-      // (lda/ldb = d_model).
-      kernels::GemmNT(seq_len, seq_len, d_head, q, d_model, k, d_model,
-                      /*beta=*/0.0f, scores, seq_len);
-      SoftmaxRows(scores, seq_len, seq_len);
-      // context block = softmax(scores)·V, written in place.
-      kernels::GemmNN(seq_len, d_head, seq_len, scores, seq_len, v, d_model,
-                      /*beta=*/0.0f, ctx, d_model);
-    }
-  };
-  // ~2 GEMMs of 2*L*L*d_head flops per block, against the shared fork policy.
-  const double flops =
-      4.0 * static_cast<double>(blocks) * seq_len * static_cast<double>(seq_len) * d_head;
-  ThreadPool& pool = ThreadPool::Global();
-  if (!WorthForking(pool, blocks, flops)) {
-    // Serial: scores from the caller's arena, zero synchronization — the
-    // QPS-bound many-worker configuration (CDMPP_NUM_THREADS=1) never
-    // touches the pool mutex.
-    process(probs != nullptr ? nullptr : ws->NewMatrix(seq_len, seq_len)->data(), 0, blocks);
-  } else if (probs != nullptr) {
-    pool.ParallelFor(0, blocks, ParallelGrain(blocks),
-                     [&](int64_t i0, int64_t i1) { process(nullptr, i0, i1); });
-  } else {
-    pool.ParallelForWithScratch(WorkspacePool::Global(), 0, blocks, ParallelGrain(blocks),
-                                [&](Workspace* scratch, int64_t i0, int64_t i1) {
-                                  process(scratch->NewMatrix(seq_len, seq_len)->data(), i0, i1);
-                                });
+// (sample, head) writes its own disjoint [seq_len, d_head] block of
+// `context`, so no zero-fill or reduction is needed, and a block's
+// values depend on its own sample only. Each block's scores/softmax land in
+// its own slice of `probs` when the caller keeps them for Backward;
+// otherwise one [seq_len, seq_len] scores buffer from `ws` serves every
+// block in turn.
+void AttentionContext(const Matrix& q_all, const Matrix& k_all, const Matrix& v_all, int batch,
+                      int seq_len, int num_heads, int d_head, int d_model, Matrix* probs,
+                      Matrix* context, Workspace* ws) {
+  float* scratch = probs != nullptr ? nullptr : ws->NewMatrix(seq_len, seq_len)->data();
+  const int blocks = batch * num_heads;
+  for (int i = 0; i < blocks; ++i) {
+    const int b = i / num_heads;
+    const int h = i % num_heads;
+    const float* q = q_all.Row(b * seq_len) + h * d_head;
+    const float* k = k_all.Row(b * seq_len) + h * d_head;
+    const float* v = v_all.Row(b * seq_len) + h * d_head;
+    float* ctx = context->Row(b * seq_len) + h * d_head;
+    float* scores = probs != nullptr ? probs->Row(i * seq_len) : scratch;
+    // scores = (Q/sqrt(d))·Kᵀ directly on the packed layout
+    // (lda/ldb = d_model).
+    kernels::GemmNT(seq_len, seq_len, d_head, q, d_model, k, d_model,
+                    /*beta=*/0.0f, scores, seq_len);
+    SoftmaxRows(scores, seq_len, seq_len);
+    // context block = softmax(scores)·V, written in place.
+    kernels::GemmNN(seq_len, d_head, seq_len, scores, seq_len, v, d_model,
+                    /*beta=*/0.0f, ctx, d_model);
   }
-  return context;
 }
 
 }  // namespace
@@ -113,9 +56,7 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int d_model, int num_heads, Rng* 
 
 Matrix* MultiHeadSelfAttention::Forward(const Matrix& x, int seq_len, Workspace* ws,
                                         Cache* cache) const {
-  // Whole-call wall time on the calling thread, forked chunks included — the
-  // span never reaches into the parallel region, so chunk scheduling and the
-  // bitwise thread-count invariance are unaffected. No-op unless the serving
+  // Whole-call wall time on the calling thread. No-op unless the serving
   // layer bound a sampled trace to this thread.
   obs::ScopedSpan span(obs::Stage::kAttention);
   CDMPP_CHECK(seq_len > 0);
@@ -128,23 +69,28 @@ Matrix* MultiHeadSelfAttention::Forward(const Matrix& x, int seq_len, Workspace*
   Matrix* k_all = wk_->Forward(x, ws, train ? &cache->k_proj : nullptr);
   Matrix* v_all = wv_->Forward(x, ws, train ? &cache->v_proj : nullptr);
 
+  Matrix* context = ws->NewMatrix(x.rows(), d_model_);
+  if (train) {
+    cache->probs = ws->NewMatrix(batch * num_heads_ * seq_len, seq_len);
+    cache->seq_len = seq_len;
+    cache->batch = batch;
+  }
   // The 1/sqrt(d_head) softmax scale is folded into the Q operand — one pass
   // over [rows, d_model] instead of a [L, L] pass per block. Training keeps
-  // the cached Q unscaled (Backward's dscores.Scale(scale) carries the factor
-  // to both dq and dk), so it scales a copy.
+  // the cached Q unscaled (Backward's dscores carry the factor to both dq
+  // and dk), so it scales a copy. The copy and the scores scratch are dead
+  // once the context exists: their slots go to the output projection.
+  const size_t scratch = ws->Mark();
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
   Matrix* q_scaled = q_all;
   if (train) {
     q_scaled = ws->NewMatrix(q_all->rows(), q_all->cols());
     std::copy(q_all->data(), q_all->data() + q_all->size(), q_scaled->data());
-    cache->probs = ws->NewMatrix(batch * num_heads_ * seq_len, seq_len);
-    cache->seq_len = seq_len;
-    cache->batch = batch;
   }
   q_scaled->Scale(scale);
-
-  Matrix* context = AttentionContext(*q_scaled, *k_all, *v_all, batch, seq_len, num_heads_,
-                                     d_head_, d_model_, train ? cache->probs : nullptr, ws);
+  AttentionContext(*q_scaled, *k_all, *v_all, batch, seq_len, num_heads_, d_head_, d_model_,
+                   train ? cache->probs : nullptr, context, ws);
+  ws->Rewind(scratch);
   return wo_->Forward(*context, ws, train ? &cache->out_proj : nullptr);
 }
 
@@ -183,7 +129,7 @@ QuantizedMultiHeadSelfAttention::QuantizedMultiHeadSelfAttention(
 Matrix* QuantizedMultiHeadSelfAttention::Forward(const Matrix& x, int seq_len,
                                                  Workspace* ws) const {
   // Same span discipline as the fp32 path: whole-call wall time on the
-  // calling thread, never reaching into the parallel region.
+  // calling thread.
   obs::ScopedSpan span(obs::Stage::kAttention);
   CDMPP_CHECK(seq_len > 0);
   CDMPP_CHECK(x.rows() % seq_len == 0);
@@ -191,9 +137,9 @@ Matrix* QuantizedMultiHeadSelfAttention::Forward(const Matrix& x, int seq_len,
   const int batch = x.rows() / seq_len;
 
   // The three input projections share ONE quantization of x (the constructor
-  // gave them identical folded column scales), done before any fork with
-  // row-deterministic per-row scales — both bitwise invariance contracts
-  // hold, and the quantize pass runs once instead of three times. Without a
+  // gave them identical folded column scales) with row-deterministic per-row
+  // scales, so batch-size invariance holds, and the quantize pass runs once
+  // instead of three times. Without a
   // channel profile the fp32 copies run instead (see the constructor).
   Matrix* q_all;
   Matrix* k_all;
@@ -223,74 +169,77 @@ Matrix* QuantizedMultiHeadSelfAttention::Forward(const Matrix& x, int seq_len,
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
   q_all->Scale(scale);
 
-  Matrix* context = AttentionContext(*q_all, *k_all, *v_all, batch, seq_len, num_heads_,
-                                     d_head_, d_model_, /*probs=*/nullptr, ws);
+  Matrix* context = ws->NewMatrix(x.rows(), d_model_);
+  AttentionContext(*q_all, *k_all, *v_all, batch, seq_len, num_heads_, d_head_, d_model_,
+                   /*probs=*/nullptr, context, ws);
   return wo_.Forward(*context, ws);
 }
 
-Matrix MultiHeadSelfAttention::Backward(const Cache& cache, const Matrix& dy) {
+Matrix* MultiHeadSelfAttention::Backward(const Cache& cache, const Matrix& dy, Workspace* ws,
+                                         const Shard& shard) {
   const int seq_len = cache.seq_len;
+  const int rows = dy.rows();
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
   const Matrix& q_all = *cache.q_proj.y;  // unscaled
   const Matrix& k_all = *cache.k_proj.y;
   const Matrix& v_all = *cache.v_proj.y;
 
-  Matrix dcontext = wo_->Backward(cache.out_proj, dy);
-  Matrix dq(dy.rows(), d_model_);
-  Matrix dk(dy.rows(), d_model_);
-  Matrix dv(dy.rows(), d_model_);
-
-  // Hoisted block scratch, reused across every (sample, head).
-  Matrix q, k, v, dout;
-  Matrix dattn, dv_block, dscores, dq_block, dk_block;
+  // dcontext's buffer carries dx once the block loop has read it.
+  Matrix* dcontext = wo_->Backward(cache.out_proj, dy, ws, shard);
+  const size_t scratch = ws->Mark();
+  // Every (sample, head) block writes its own disjoint block of dq/dk/dv,
+  // and together the blocks cover them: no zero-fill. Blocks are read and
+  // written in place in the packed layout (leading dimension d_model).
+  Matrix* dq = ws->NewMatrix(rows, d_model_);
+  Matrix* dk = ws->NewMatrix(rows, d_model_);
+  Matrix* dv = ws->NewMatrix(rows, d_model_);
+  float* dattn = ws->NewMatrix(seq_len, seq_len)->data();
+  float* dscores = ws->NewMatrix(seq_len, seq_len)->data();
+  const int ld = d_model_;
   for (int b = 0; b < cache.batch; ++b) {
     for (int h = 0; h < num_heads_; ++h) {
       const float* attn = cache.probs->Row((b * num_heads_ + h) * seq_len);
-      ExtractBlockInto(q_all, b, h, seq_len, d_head_, &q);
-      ExtractBlockInto(k_all, b, h, seq_len, d_head_, &k);
-      ExtractBlockInto(v_all, b, h, seq_len, d_head_, &v);
-      ExtractBlockInto(dcontext, b, h, seq_len, d_head_, &dout);
+      const int64_t at = static_cast<int64_t>(b) * seq_len * ld + h * d_head_;
+      const float* q = q_all.data() + at;
+      const float* k = k_all.data() + at;
+      const float* v = v_all.data() + at;
+      const float* dout = dcontext->data() + at;
 
       // out = attn x v.
-      dattn.Resize(seq_len, seq_len);
-      kernels::GemmNT(seq_len, seq_len, d_head_, dout.data(), d_head_, v.data(), d_head_,
-                      /*beta=*/0.0f, dattn.data(), seq_len);
-      dv_block.Resize(seq_len, d_head_);
-      kernels::GemmTN(seq_len, d_head_, seq_len, attn, seq_len, dout.data(), d_head_,
-                      /*beta=*/0.0f, dv_block.data(), d_head_);
+      kernels::GemmNT(seq_len, seq_len, d_head_, dout, ld, v, ld, /*beta=*/0.0f, dattn,
+                      seq_len);
+      kernels::GemmTN(seq_len, d_head_, seq_len, attn, seq_len, dout, ld, /*beta=*/0.0f,
+                      dv->data() + at, ld);
 
       // Softmax backward: ds = attn * (dattn - rowsum(dattn * attn)).
-      dscores.Resize(seq_len, seq_len);
       for (int i = 0; i < seq_len; ++i) {
         const float* arow = attn + static_cast<size_t>(i) * seq_len;
+        const float* darow = dattn + static_cast<size_t>(i) * seq_len;
+        float* dsrow = dscores + static_cast<size_t>(i) * seq_len;
         float dot = 0.0f;
         for (int j = 0; j < seq_len; ++j) {
-          dot += dattn.At(i, j) * arow[j];
+          dot += darow[j] * arow[j];
         }
         for (int j = 0; j < seq_len; ++j) {
-          dscores.At(i, j) = arow[j] * (dattn.At(i, j) - dot);
+          dsrow[j] = arow[j] * (darow[j] - dot) * scale;
         }
       }
-      dscores.Scale(scale);
 
-      // scores = (q * scale) x k^T; the cached q is unscaled, the Scale above
+      // scores = (q * scale) x k^T; the cached q is unscaled, the scale above
       // carries the factor to both dq and dk.
-      dq_block.Resize(seq_len, d_head_);
-      kernels::GemmNN(seq_len, d_head_, seq_len, dscores.data(), seq_len, k.data(), d_head_,
-                      /*beta=*/0.0f, dq_block.data(), d_head_);
-      dk_block.Resize(seq_len, d_head_);
-      kernels::GemmTN(seq_len, d_head_, seq_len, dscores.data(), seq_len, q.data(), d_head_,
-                      /*beta=*/0.0f, dk_block.data(), d_head_);
-
-      AccumulateBlock(&dq, dq_block, b, h, seq_len, d_head_);
-      AccumulateBlock(&dk, dk_block, b, h, seq_len, d_head_);
-      AccumulateBlock(&dv, dv_block, b, h, seq_len, d_head_);
+      kernels::GemmNN(seq_len, d_head_, seq_len, dscores, seq_len, k, ld, /*beta=*/0.0f,
+                      dq->data() + at, ld);
+      kernels::GemmTN(seq_len, d_head_, seq_len, dscores, seq_len, q, ld, /*beta=*/0.0f,
+                      dk->data() + at, ld);
     }
   }
 
-  Matrix dx = wq_->Backward(cache.q_proj, dq);
-  dx.AddInPlace(wk_->Backward(cache.k_proj, dk));
-  dx.AddInPlace(wv_->Backward(cache.v_proj, dv));
+  // dx = (dx_q + dx_k) + dx_v, each term added in place as it is computed.
+  Matrix* dx = dcontext;
+  wq_->BackwardInto(cache.q_proj, *dq, ws, shard, dx, /*accumulate=*/false);
+  wk_->BackwardInto(cache.k_proj, *dk, ws, shard, dx, /*accumulate=*/true);
+  wv_->BackwardInto(cache.v_proj, *dv, ws, shard, dx, /*accumulate=*/true);
+  ws->Rewind(scratch);
   return dx;
 }
 

@@ -33,14 +33,10 @@ class MultiHeadSelfAttention : public Module {
   // x: [batch * seq_len, d_model]. Returns the same shape. Per-head Q/K/V
   // blocks are addressed in place inside the packed [batch*seq_len, d_model]
   // activations via the kernels' leading-dimension parameters — zero block
-  // extraction copies. The per-(sample, head) blocks split across cores
-  // (each writes a disjoint context block; without a cache, chunks lease
-  // scores scratch from WorkspacePool::Global(), with one they write their
-  // own slice of `probs`), and the output is bitwise identical for every
-  // CDMPP_NUM_THREADS value. Layer-owned tensors come from `ws`, which stays
-  // single-owner.
+  // extraction copies, in the forward and the backward. Each sample's rows
+  // depend on that sample only, so any batch split gives the same rows.
   Matrix* Forward(const Matrix& x, int seq_len, Workspace* ws, Cache* cache = nullptr) const;
-  Matrix Backward(const Cache& cache, const Matrix& dy);
+  Matrix* Backward(const Cache& cache, const Matrix& dy, Workspace* ws, const Shard& shard = {});
   void CollectParams(std::vector<Param*>* out) override;
 
   int d_model() const { return d_model_; }
@@ -68,9 +64,8 @@ class MultiHeadSelfAttention : public Module {
 // activation×activation score/context GEMMs stay fp32 (their operands are
 // both dynamic, a different quantization problem — ROADMAP follow-on). The
 // score/context block loop is the SAME code the fp32 path runs (shared
-// helper), so the quantized path inherits its thread-count bitwise
-// invariance; QKV quantization happens before the forked region with
-// row-deterministic per-row scales, keeping batch-size invariance too.
+// helper), and QKV quantization uses row-deterministic per-row scales, so
+// the quantized path keeps batch-size invariance.
 //
 // `act_absmax` is a data-free per-input-channel magnitude estimate for x
 // (from the preceding LayerNorm when there is one); non-empty enables the
@@ -93,8 +88,8 @@ class QuantizedMultiHeadSelfAttention {
   QuantizedMultiHeadSelfAttention(const MultiHeadSelfAttention& attn,
                                   const std::vector<float>& act_absmax);
 
-  // x: [batch * seq_len, d_model]; same contract and parallel structure as
-  // the fp32 inference Forward.
+  // x: [batch * seq_len, d_model]; same contract as the fp32 inference
+  // Forward.
   Matrix* Forward(const Matrix& x, int seq_len, Workspace* ws) const;
 
   int d_model() const { return d_model_; }

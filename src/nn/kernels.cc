@@ -1,8 +1,9 @@
 // Dispatch layer for the GEMM kernels plus the portable scalar bodies.
 //
 // The public GemmNN/GemmTN/GemmNT/GemmBiasAct entry points pick a per-ISA
-// panel body (scalar here, AVX2 in kernels_avx2.cc) via ActiveKernelIsa(),
-// then run it serially or across ParallelFor row panels. Both bodies
+// panel body (scalar here, AVX2 in kernels_avx2.cc) via ActiveKernelIsa()
+// and run it over every row on the calling thread: the kernels never fork
+// (parallelism lives above them, in the training shards). Both bodies
 // accumulate each element over p ascending, so results are bitwise
 // deterministic and batch-size-invariant within an ISA; across ISAs they
 // agree to ~1e-6 relative, not bitwise — the AVX2 body fuses each
@@ -16,7 +17,6 @@
 #include "src/nn/kernels_internal.h"
 #include "src/obs/metrics.h"
 #include "src/support/cpu_features.h"
-#include "src/support/parallel_for.h"
 
 namespace cdmpp {
 namespace kernels {
@@ -28,13 +28,6 @@ constexpr int kMr = 4;
 // C/B column block: the accumulator tile (kMr x kNc floats) and the active
 // B panel stay resident in L1 while p runs over the full reduction.
 constexpr int kNc = 128;
-
-// Row-panel chunk size: the shared ParallelGrain (~4 chunks per thread)
-// aligned to the register tile.
-int64_t RowGrain(int m) {
-  const int64_t grain = ((ParallelGrain(m) + kMr - 1) / kMr) * kMr;
-  return std::max<int64_t>(grain, kMr);
-}
 
 // Writes one finished accumulator row back to C, applying the optional fused
 // bias + activation epilogue.
@@ -93,17 +86,6 @@ void CountGemm(bool int8, int m, int n, int k) {
                                  static_cast<uint64_t>(std::max(k, 1)));
 }
 
-// Runs `panel(i0, i1)` over [0, m), forking across the pool only when the
-// shared policy says the product pays for it (2*m*n*k flop-equivalents).
-template <typename Panel>
-void RunPanels(int m, int n, int k, Panel&& panel) {
-  if (!WorthForking(ThreadPool::Global(), m, 2.0 * m * n * std::max(k, 1))) {
-    panel(0, m);
-    return;
-  }
-  ParallelFor(0, m, RowGrain(m), panel);
-}
-
 #ifdef CDMPP_HAVE_AVX2_KERNELS
 bool UseAvx2() { return ActiveKernelIsa() == KernelIsa::kAvx2; }
 #endif
@@ -116,15 +98,11 @@ void GemmNNImpl(int m, int n, int k, const float* a, int lda, const float* b, in
   CountGemm(/*int8=*/false, m, n, k);
 #ifdef CDMPP_HAVE_AVX2_KERNELS
   if (UseAvx2()) {
-    RunPanels(m, n, k, [&](int64_t r0, int64_t r1) {
-      detail::GemmNNPanelAvx2(r0, r1, n, k, a, lda, b, ldb, beta, bias, act, c, ldc);
-    });
+    detail::GemmNNPanelAvx2(0, m, n, k, a, lda, b, ldb, beta, bias, act, c, ldc);
     return;
   }
 #endif
-  RunPanels(m, n, k, [&](int64_t r0, int64_t r1) {
-    detail::GemmNNPanelScalar(r0, r1, n, k, a, lda, b, ldb, beta, bias, act, c, ldc);
-  });
+  detail::GemmNNPanelScalar(0, m, n, k, a, lda, b, ldb, beta, bias, act, c, ldc);
 }
 
 }  // namespace
@@ -315,7 +293,7 @@ void GemmQ8PanelScalar(int64_t i0, int64_t i1, int n, int k2, const int16_t* a, 
 namespace {
 
 // Shared dispatch for the two quantized entry points (raw s32 vs fused
-// epilogue): same parallel row-panel seam as the fp32 kernels.
+// epilogue).
 void GemmQ8Impl(int m, const int16_t* a, int lda, const PackedQ8Weights& w,
                 const detail::Q8Epilogue* ep, int32_t* c32, float* cf, int ldc) {
   if (m <= 0 || w.n <= 0) {
@@ -324,15 +302,11 @@ void GemmQ8Impl(int m, const int16_t* a, int lda, const PackedQ8Weights& w,
   CountGemm(/*int8=*/true, m, w.n, 2 * w.k2);
 #ifdef CDMPP_HAVE_AVX2_KERNELS
   if (UseAvx2()) {
-    RunPanels(m, w.n, 2 * w.k2, [&](int64_t r0, int64_t r1) {
-      detail::GemmQ8PanelAvx2(r0, r1, w.n, w.k2, a, lda, w.data.data(), ep, c32, cf, ldc);
-    });
+    detail::GemmQ8PanelAvx2(0, m, w.n, w.k2, a, lda, w.data.data(), ep, c32, cf, ldc);
     return;
   }
 #endif
-  RunPanels(m, w.n, 2 * w.k2, [&](int64_t r0, int64_t r1) {
-    detail::GemmQ8PanelScalar(r0, r1, w.n, w.k2, a, lda, w.data.data(), ep, c32, cf, ldc);
-  });
+  detail::GemmQ8PanelScalar(0, m, w.n, w.k2, a, lda, w.data.data(), ep, c32, cf, ldc);
 }
 
 }  // namespace
@@ -433,15 +407,11 @@ void GemmTN(int m, int n, int k, const float* a, int lda, const float* b, int ld
   CountGemm(/*int8=*/false, m, n, k);
 #ifdef CDMPP_HAVE_AVX2_KERNELS
   if (UseAvx2()) {
-    RunPanels(m, n, k, [&](int64_t r0, int64_t r1) {
-      detail::GemmTNPanelAvx2(r0, r1, n, k, a, lda, b, ldb, beta, c, ldc);
-    });
+    detail::GemmTNPanelAvx2(0, m, n, k, a, lda, b, ldb, beta, c, ldc);
     return;
   }
 #endif
-  RunPanels(m, n, k, [&](int64_t r0, int64_t r1) {
-    detail::GemmTNPanelScalar(r0, r1, n, k, a, lda, b, ldb, beta, c, ldc);
-  });
+  detail::GemmTNPanelScalar(0, m, n, k, a, lda, b, ldb, beta, c, ldc);
 }
 
 void GemmNT(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float beta,
@@ -452,15 +422,11 @@ void GemmNT(int m, int n, int k, const float* a, int lda, const float* b, int ld
   CountGemm(/*int8=*/false, m, n, k);
 #ifdef CDMPP_HAVE_AVX2_KERNELS
   if (UseAvx2()) {
-    RunPanels(m, n, k, [&](int64_t r0, int64_t r1) {
-      detail::GemmNTPanelAvx2(r0, r1, n, k, a, lda, b, ldb, beta, c, ldc);
-    });
+    detail::GemmNTPanelAvx2(0, m, n, k, a, lda, b, ldb, beta, c, ldc);
     return;
   }
 #endif
-  RunPanels(m, n, k, [&](int64_t r0, int64_t r1) {
-    detail::GemmNTPanelScalar(r0, r1, n, k, a, lda, b, ldb, beta, c, ldc);
-  });
+  detail::GemmNTPanelScalar(0, m, n, k, a, lda, b, ldb, beta, c, ldc);
 }
 
 void GemmBiasAct(int m, int n, int k, const float* a, int lda, const float* b, int ldb,

@@ -18,18 +18,26 @@
 //   * The optimized entry points dispatch at runtime between a portable
 //     scalar body and hand-written AVX2 (+FMA) microkernels — see
 //     src/support/cpu_features.h and the CDMPP_KERNEL_ISA override. Both are
-//     register-tiled over 4-row A panels, vectorized/blocked across output
-//     columns, and parallelized over row panels via ParallelFor once the
-//     product is large enough to pay for the fork.
+//     register-tiled over 4-row A panels and vectorized/blocked across
+//     output columns. They run on the calling thread and never fork: the
+//     predictor's shapes are too small for a fork per GEMM to pay, so
+//     training splits whole batches across threads instead
+//     (src/core/predictor.cc).
 //   * Every C element is accumulated over p = 0..k-1 in ascending order,
-//     independent of the row-panel partition, the register tile a row lands
-//     in, and the batch size — so within a given ISA results are bitwise
-//     run-to-run deterministic and batch-size-invariant
-//     (PredictBatched == PredictAst). Across ISAs results agree to ~1e-6
-//     relative, not bitwise: the AVX2 path rounds each multiply-add once
-//     (FMA) where the scalar path rounds twice. Degenerate shapes (any of
-//     m/n/k zero) are exact under every ISA: beta = 0 zero-fills, k = 0 with
-//     beta != 0 is a pure scale of C, and empty C is untouched.
+//     independent of the register tile a row lands in and of the batch
+//     size. GemmNN and GemmTN start that chain from beta*C; GemmNT sums the
+//     dot from zero and then adds beta*C once, fl(fl(beta*C) + dot). Either
+//     way, within a given ISA results are bitwise run-to-run deterministic
+//     and batch-size-invariant (PredictBatched == PredictAst). Across ISAs
+//     results agree to ~1e-6 relative, not bitwise: the AVX2 path rounds
+//     each multiply-add once (FMA) where the scalar path rounds twice.
+//     Degenerate shapes (any of m/n/k zero) are exact under every ISA:
+//     beta = 0 zero-fills, k = 0 with beta != 0 is a pure scale of C, and
+//     empty C is untouched.
+//   * For GemmNN and GemmTN with beta = 1 the chain starts from C itself,
+//     so a product over k = k1 + k2 rows equals one over the first k1 rows
+//     followed by one over the last k2, bit for bit (the training shards
+//     rely on this for GemmTN's weight gradients).
 //   * The *Ref kernels are the naive triple loops; they are the golden
 //     reference the dispatched kernels are tested against and the baseline
 //     bench_gemm reports speedups over.
@@ -64,7 +72,7 @@ void GemmTNRef(int m, int n, int k, const float* a, int lda, const float* b, int
 void GemmNTRef(int m, int n, int k, const float* a, int lda, const float* b, int ldb,
                float beta, float* c, int ldc);
 
-// ---- Optimized blocked + parallel kernels. ----------------------------------
+// ---- Optimized blocked kernels. ---------------------------------------------
 void GemmNN(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float beta,
             float* c, int ldc);
 void GemmTN(int m, int n, int k, const float* a, int lda, const float* b, int ldb, float beta,

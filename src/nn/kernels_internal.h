@@ -5,7 +5,7 @@
 // uphold the layer-wide determinism contract: each C element accumulates its
 // k products in ascending p order with a fixed per-element operation
 // sequence, so within an ISA results are bitwise deterministic and
-// independent of the ParallelFor partition and the batch size. Degenerate
+// independent of the row range [i0, i1) and the batch size. Degenerate
 // panels (n == 0 or k == 0) must be handled: k == 0 still applies the beta
 // scale / bias epilogue to C, exactly.
 #ifndef SRC_NN_KERNELS_INTERNAL_H_

@@ -3,13 +3,33 @@
 #include <cmath>
 
 #include "src/obs/trace.h"
-#include "src/support/parallel_for.h"
 
 namespace cdmpp {
 
+// ---------------- GradTurn ----------------
+
+void GradTurn::Wait(const Shard& shard) {
+  if (shard.count == 1) {
+    return;
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return turn_ == shard.index; });
+}
+
+void GradTurn::Pass(const Shard& shard) {
+  if (shard.count == 1) {
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    turn_ = shard.index + 1 == shard.count ? 0 : shard.index + 1;
+  }
+  cv_.notify_all();
+}
+
 // ---------------- Linear ----------------
 
-Linear::Linear(int in_dim, int out_dim, Rng* rng) {
+Linear::Linear(int in_dim, int out_dim, Rng* rng) : bias_sum_(1, out_dim) {
   w_.InitXavier(in_dim, out_dim, rng);
   b_.InitZero(1, out_dim);
 }
@@ -26,27 +46,61 @@ Matrix* Linear::Forward(const Matrix& x, Workspace* ws, Cache* cache,
   return y;
 }
 
-Matrix Linear::Backward(const Cache& cache, const Matrix& dy) {
+Matrix* Linear::Backward(const Cache& cache, const Matrix& dy, Workspace* ws,
+                         const Shard& shard) {
+  Matrix* dx = ws->NewMatrix(dy.rows(), w_.value.rows());
+  BackwardInto(cache, dy, ws, shard, dx, /*accumulate=*/false);
+  return dx;
+}
+
+void Linear::BackwardInto(const Cache& cache, const Matrix& dy, Workspace* ws,
+                          const Shard& shard, Matrix* dx, bool accumulate) {
   const Matrix& x = *cache.x;
-  CDMPP_CHECK(dy.rows() == x.rows() && dy.cols() == w_.value.cols());
+  const int n = dy.rows();
+  const int out = w_.value.cols();
+  CDMPP_CHECK(n == x.rows() && dy.cols() == out);
+  const size_t scratch = ws->Mark();
   const Matrix* d = &dy;
-  Matrix masked;
   if (cache.act == kernels::Activation::kRelu) {
     // The fused ReLU's backward: y > 0 exactly where its input was > 0.
-    masked = dy;
+    Matrix* masked = ws->NewMatrix(n, out);
     const float* y = cache.y->data();
-    for (size_t i = 0; i < masked.size(); ++i) {
-      if (y[i] <= 0.0f) {
-        masked.data()[i] = 0.0f;
-      }
+    for (size_t i = 0; i < masked->size(); ++i) {
+      masked->data()[i] = y[i] <= 0.0f ? 0.0f : dy.data()[i];
     }
-    d = &masked;
+    d = masked;
   }
+  if (dx != nullptr) {
+    // dx (+)= d·Wᵀ: this shard's rows only, so no turn needed. The NT kernel
+    // sums the dot from zero and then adds beta * dx.
+    CDMPP_CHECK(dx->rows() == n && dx->cols() == w_.value.rows());
+    kernels::GemmNT(n, dx->cols(), out, d->data(), out, w_.value.data(), out,
+                    accumulate ? 1.0f : 0.0f, dx->data(), dx->cols());
+  }
+  turn_.Wait(shard);
   // w_.grad += xᵀ·d as a single beta=1 accumulate — no gradient temporary.
-  kernels::GemmTN(w_.grad.rows(), w_.grad.cols(), d->rows(), x.data(), x.cols(), d->data(),
-                  d->cols(), /*beta=*/1.0f, w_.grad.data(), w_.grad.cols());
-  b_.grad.AddInPlace(ColumnSum(*d));
-  return MatMulTransB(*d, w_.value);
+  kernels::GemmTN(w_.grad.rows(), out, n, x.data(), x.cols(), d->data(), out, /*beta=*/1.0f,
+                  w_.grad.data(), out);
+  // b_.grad += (sum of the batch's rows from zero), the partial sum carried
+  // across shards.
+  float* sum = bias_sum_.data();
+  if (shard.index == 0) {
+    bias_sum_.Zero();
+  }
+  for (int i = 0; i < n; ++i) {
+    const float* row = d->Row(i);
+    for (int j = 0; j < out; ++j) {
+      sum[j] += row[j];
+    }
+  }
+  if (shard.index + 1 == shard.count) {
+    float* grad = b_.grad.data();
+    for (int j = 0; j < out; ++j) {
+      grad[j] += sum[j];
+    }
+  }
+  turn_.Pass(shard);
+  ws->Rewind(scratch);
 }
 
 void Linear::CollectParams(std::vector<Param*>* out) {
@@ -64,93 +118,87 @@ LayerNorm::LayerNorm(int dim) {
   beta_.InitZero(1, dim);
 }
 
-namespace {
-
-// Rows are independent, so batch rows split across cores; tiny inputs stay
-// serial (ParallelFor also runs inline when the range fits one chunk). With
-// a cache, the normalized rows and 1/std are recorded for Backward.
-void LayerNormRowsInto(const Matrix& x, const float* gamma, const float* beta, float eps,
-                       Matrix* y, LayerNorm::Cache* cache) {
-  const int n = x.rows();
-  const int d = x.cols();
-  auto normalize_rows = [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* row = x.Row(static_cast<int>(i));
-      float mean = 0.0f;
-      for (int j = 0; j < d; ++j) {
-        mean += row[j];
-      }
-      mean /= static_cast<float>(d);
-      float var = 0.0f;
-      for (int j = 0; j < d; ++j) {
-        var += (row[j] - mean) * (row[j] - mean);
-      }
-      var /= static_cast<float>(d);
-      const float inv_std = 1.0f / std::sqrt(var + eps);
-      if (cache != nullptr) {
-        cache->inv_std->At(static_cast<int>(i), 0) = inv_std;
-        float* nrow = cache->norm->Row(static_cast<int>(i));
-        for (int j = 0; j < d; ++j) {
-          nrow[j] = (row[j] - mean) * inv_std;
-        }
-      }
-      float* yrow = y->Row(static_cast<int>(i));
-      for (int j = 0; j < d; ++j) {
-        yrow[j] = (row[j] - mean) * inv_std * gamma[j] + beta[j];
-      }
-    }
-  };
-  // ~10 flops per element over the mean/var/normalize passes, against the
-  // shared fork policy.
-  if (WorthForking(ThreadPool::Global(), n, 10.0 * static_cast<double>(n) * d)) {
-    ParallelFor(0, n, ParallelGrain(n), normalize_rows);
-  } else {
-    normalize_rows(0, n);
-  }
-}
-
-}  // namespace
-
 Matrix* LayerNorm::Forward(const Matrix& x, Workspace* ws, Cache* cache) const {
   // Nests under the encoder span when a sampled trace is bound; no-op (one
   // thread-local load) otherwise.
   obs::ScopedSpan span(obs::Stage::kLayerNorm);
-  Matrix* y = ws->NewMatrix(x.rows(), x.cols());
+  const int n = x.rows();
+  const int d = x.cols();
+  Matrix* y = ws->NewMatrix(n, d);
   if (cache != nullptr) {
-    cache->norm = ws->NewMatrix(x.rows(), x.cols());
-    cache->inv_std = ws->NewMatrix(x.rows(), 1);
+    cache->norm = ws->NewMatrix(n, d);
+    cache->inv_std = ws->NewMatrix(n, 1);
   }
-  LayerNormRowsInto(x, gamma_.value.Row(0), beta_.value.Row(0), kEps, y, cache);
+  const float* gamma = gamma_.value.Row(0);
+  const float* beta = beta_.value.Row(0);
+  for (int i = 0; i < n; ++i) {
+    const float* row = x.Row(i);
+    float mean = 0.0f;
+    for (int j = 0; j < d; ++j) {
+      mean += row[j];
+    }
+    mean /= static_cast<float>(d);
+    float var = 0.0f;
+    for (int j = 0; j < d; ++j) {
+      var += (row[j] - mean) * (row[j] - mean);
+    }
+    var /= static_cast<float>(d);
+    const float inv_std = 1.0f / std::sqrt(var + kEps);
+    if (cache != nullptr) {
+      cache->inv_std->At(i, 0) = inv_std;
+      float* nrow = cache->norm->Row(i);
+      for (int j = 0; j < d; ++j) {
+        nrow[j] = (row[j] - mean) * inv_std;
+      }
+    }
+    float* yrow = y->Row(i);
+    for (int j = 0; j < d; ++j) {
+      yrow[j] = (row[j] - mean) * inv_std * gamma[j] + beta[j];
+    }
+  }
   return y;
 }
 
-Matrix LayerNorm::Backward(const Cache& cache, const Matrix& dy) {
+Matrix* LayerNorm::Backward(const Cache& cache, const Matrix& dy, Workspace* ws,
+                            const Shard& shard) {
   const int n = dy.rows();
   const int d = dy.cols();
   CDMPP_CHECK(n == cache.norm->rows() && d == cache.norm->cols());
-  Matrix dx(n, d);
+  const float* gamma = gamma_.value.Row(0);
+  Matrix* dx = ws->NewMatrix(n, d);
   for (int i = 0; i < n; ++i) {
     const float* dyrow = dy.Row(i);
     const float* nrow = cache.norm->Row(i);
-    float inv_std = cache.inv_std->At(i, 0);
+    const float inv_std = cache.inv_std->At(i, 0);
     // dnorm = dy * gamma; dx = inv_std * (dnorm - mean(dnorm) - norm * mean(dnorm*norm)).
     float mean_dn = 0.0f;
     float mean_dn_n = 0.0f;
     for (int j = 0; j < d; ++j) {
-      float dn = dyrow[j] * gamma_.value.At(0, j);
+      const float dn = dyrow[j] * gamma[j];
       mean_dn += dn;
       mean_dn_n += dn * nrow[j];
-      gamma_.grad.At(0, j) += dyrow[j] * nrow[j];
-      beta_.grad.At(0, j) += dyrow[j];
     }
     mean_dn /= static_cast<float>(d);
     mean_dn_n /= static_cast<float>(d);
-    float* dxrow = dx.Row(i);
+    float* dxrow = dx->Row(i);
     for (int j = 0; j < d; ++j) {
-      float dn = dyrow[j] * gamma_.value.At(0, j);
+      const float dn = dyrow[j] * gamma[j];
       dxrow[j] = inv_std * (dn - mean_dn - nrow[j] * mean_dn_n);
     }
   }
+  // gamma/beta gradients: one chain over the batch rows, in row order.
+  turn_.Wait(shard);
+  float* dgamma = gamma_.grad.Row(0);
+  float* dbeta = beta_.grad.Row(0);
+  for (int i = 0; i < n; ++i) {
+    const float* dyrow = dy.Row(i);
+    const float* nrow = cache.norm->Row(i);
+    for (int j = 0; j < d; ++j) {
+      dgamma[j] += dyrow[j] * nrow[j];
+      dbeta[j] += dyrow[j];
+    }
+  }
+  turn_.Pass(shard);
   return dx;
 }
 
@@ -183,12 +231,14 @@ Matrix* Mlp::Forward(const Matrix& x, Workspace* ws, Cache* cache) const {
   return out;
 }
 
-Matrix Mlp::Backward(const Cache& cache, const Matrix& dy) {
-  Matrix d = dy;
+Matrix* Mlp::Backward(const Cache& cache, const Matrix& dy, Workspace* ws, const Shard& shard) {
+  const Matrix* d = &dy;
+  Matrix* dx = nullptr;
   for (size_t i = linears_.size(); i-- > 0;) {
-    d = linears_[i]->Backward(cache.layers[i], d);
+    dx = linears_[i]->Backward(cache.layers[i], *d, ws, shard);
+    d = dx;
   }
-  return d;
+  return dx;
 }
 
 void Mlp::CollectParams(std::vector<Param*>* out) {

@@ -10,17 +10,28 @@
 // writes no state, and any number of threads may run it concurrently on a
 // shared layer as long as no thread mutates parameters at the same time —
 // this is the serving hot path (src/serve/). A non-null `cache` is training:
-// the pass records what the matching Backward(cache, dy) needs — pointers
-// into the arena, so Backward must run before the arena is Reset(). A cache
-// never changes the computed values: with and without one, Forward is
-// bitwise identical.
+// the pass records what the matching Backward needs — pointers into the
+// arena, so Backward must run before the arena is Reset(). A cache never
+// changes the computed values: with and without one, Forward is bitwise
+// identical.
 //
-// Backward takes the cache and dLoss/dOutput, *accumulates* parameter
-// gradients, and returns dLoss/dInput. Call ZeroGrad between steps.
+//   Matrix* Backward(cache, dy, Workspace* ws, const Shard& shard = {})
+//
+// *accumulates* parameter gradients and returns dLoss/dInput, which lives in
+// `ws` like every temporary of the pass. Optimizer::Step clears the
+// gradients after its update; ZeroGrad clears them without one.
+//
+// Sharded backward: training runs a batch as concurrent consecutive row
+// shards. Rows of outputs and input gradients depend on their own sample
+// only, and each parameter gradient is one chain over the batch rows in row
+// order, so a layer adds shard i's rows after shard i-1's (GradTurn) and any
+// split gives the whole-batch bits (README "Threading model").
 #ifndef SRC_NN_LAYERS_H_
 #define SRC_NN_LAYERS_H_
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "src/nn/kernels.h"
@@ -43,6 +54,37 @@ struct Param {
     value = Matrix(rows, cols);
     grad = Matrix(rows, cols);
   }
+};
+
+// Where one Backward call's rows sit in a batch split into `count`
+// consecutive shards; {0, 1} is the whole batch.
+struct Shard {
+  int index = 0;
+  int count = 1;
+};
+
+// Orders one layer's gradient accumulation across the shards of a pass:
+// Wait returns once every earlier shard has Passed, and the last shard's
+// Pass rewinds the turn for the next pass. Shards are started in index order
+// (ThreadPool::ParallelFor claims chunks in order), so the shard a waiter
+// depends on is always running and the order cannot deadlock. A wait
+// sleeps, so it costs no CPU time. A shard must pass every turn it takes part in, so a
+// sharded backward may not throw part-way: the predictor runs its shard
+// bodies noexcept, which turns an exception into termination, not a hang.
+class GradTurn {
+ public:
+  GradTurn() = default;
+  // A copied layer (the int8 snapshots copy fp32 layers) starts a fresh turn.
+  GradTurn(const GradTurn&) {}
+  GradTurn& operator=(const GradTurn&) { return *this; }
+
+  void Wait(const Shard& shard);
+  void Pass(const Shard& shard);
+
+ private:
+  int turn_ = 0;  // guarded by mu_
+  std::mutex mu_;
+  std::condition_variable cv_;
 };
 
 // Base class for all layers/models: exposes parameters to the optimizer.
@@ -87,7 +129,13 @@ class Linear : public Module {
   // accumulator tile is still in registers). kRelu is the layer's ReLU.
   Matrix* Forward(const Matrix& x, Workspace* ws, Cache* cache = nullptr,
                   kernels::Activation act = kernels::Activation::kNone) const;
-  Matrix Backward(const Cache& cache, const Matrix& dy);
+  Matrix* Backward(const Cache& cache, const Matrix& dy, Workspace* ws, const Shard& shard = {});
+  // Backward with dx written into *dx, or, with `accumulate`, added onto it:
+  // each element becomes the prior value plus dx rounded once, the bits of
+  // computing dx and adding it. A null dx skips the input gradient (the
+  // network's first layer, whose input gradient nothing reads).
+  void BackwardInto(const Cache& cache, const Matrix& dy, Workspace* ws, const Shard& shard,
+                    Matrix* dx, bool accumulate);
   void CollectParams(std::vector<Param*>* out) override;
 
   int in_dim() const { return w_.value.rows(); }
@@ -101,6 +149,8 @@ class Linear : public Module {
  private:
   Param w_;
   Param b_;
+  GradTurn turn_;
+  Matrix bias_sum_;  // [1, out]: the bias gradient's row sum, carried across shards
 };
 
 // Per-row layer normalization with learnable gamma/beta.
@@ -113,9 +163,8 @@ class LayerNorm : public Module {
     Matrix* inv_std = nullptr;  // [N, 1]
   };
 
-  // Rows are split across cores via ParallelFor for large batches.
   Matrix* Forward(const Matrix& x, Workspace* ws, Cache* cache = nullptr) const;
-  Matrix Backward(const Cache& cache, const Matrix& dy);
+  Matrix* Backward(const Cache& cache, const Matrix& dy, Workspace* ws, const Shard& shard = {});
   void CollectParams(std::vector<Param*>* out) override;
 
   // Read-only parameter views: the int8 calibration path derives data-free
@@ -128,6 +177,7 @@ class LayerNorm : public Module {
   static constexpr float kEps = 1e-5f;
   Param gamma_;
   Param beta_;
+  GradTurn turn_;
 };
 
 // Multi-layer perceptron: Linear -> ReLU repeated, final Linear (no ReLU).
@@ -142,7 +192,7 @@ class Mlp : public Module {
 
   // Each hidden Linear+ReLU pair runs as one fused kernel call.
   Matrix* Forward(const Matrix& x, Workspace* ws, Cache* cache = nullptr) const;
-  Matrix Backward(const Cache& cache, const Matrix& dy);
+  Matrix* Backward(const Cache& cache, const Matrix& dy, Workspace* ws, const Shard& shard = {});
   void CollectParams(std::vector<Param*>* out) override;
 
   // Read-only layer views for the int8 calibration path.

@@ -31,35 +31,36 @@ double GuardedTarget(float y) {
 
 }  // namespace
 
-LossResult ComputeLoss(LossKind kind, const std::vector<float>& pred,
-                       const std::vector<float>& target, double lambda) {
-  CDMPP_CHECK(pred.size() == target.size());
-  CDMPP_CHECK(!pred.empty());
-  const double n = static_cast<double>(pred.size());
-  LossResult res;
-  res.grad.assign(pred.size(), 0.0f);
+double ComputeLoss(LossKind kind, const float* pred, const float* target, size_t count,
+                   double lambda, float* grad) {
+  CDMPP_CHECK(count > 0);
+  const double n = static_cast<double>(count);
+  double value = 0.0;
+  for (size_t i = 0; i < count; ++i) {
+    grad[i] = 0.0f;
+  }
 
   auto add_mse = [&](double weight) {
-    for (size_t i = 0; i < pred.size(); ++i) {
+    for (size_t i = 0; i < count; ++i) {
       double d = static_cast<double>(pred[i]) - target[i];
-      res.value += weight * d * d / n;
-      res.grad[i] += static_cast<float>(weight * 2.0 * d / n);
+      value += weight * d * d / n;
+      grad[i] += static_cast<float>(weight * 2.0 * d / n);
     }
   };
   auto add_mape = [&](double weight) {
-    for (size_t i = 0; i < pred.size(); ++i) {
+    for (size_t i = 0; i < count; ++i) {
       double y = GuardedTarget(target[i]);
       double d = static_cast<double>(pred[i]) - target[i];
-      res.value += weight * std::abs(d) / y / n;
-      res.grad[i] += static_cast<float>(weight * (d >= 0.0 ? 1.0 : -1.0) / y / n);
+      value += weight * std::abs(d) / y / n;
+      grad[i] += static_cast<float>(weight * (d >= 0.0 ? 1.0 : -1.0) / y / n);
     }
   };
   auto add_mspe = [&](double weight) {
-    for (size_t i = 0; i < pred.size(); ++i) {
+    for (size_t i = 0; i < count; ++i) {
       double y = GuardedTarget(target[i]);
       double d = static_cast<double>(pred[i]) - target[i];
-      res.value += weight * d * d / (y * y) / n;
-      res.grad[i] += static_cast<float>(weight * 2.0 * d / (y * y) / n);
+      value += weight * d * d / (y * y) / n;
+      grad[i] += static_cast<float>(weight * 2.0 * d / (y * y) / n);
     }
   };
 
@@ -78,7 +79,7 @@ LossResult ComputeLoss(LossKind kind, const std::vector<float>& pred,
       add_mape(lambda);
       break;
   }
-  return res;
+  return value;
 }
 
 }  // namespace cdmpp

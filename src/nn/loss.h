@@ -3,7 +3,7 @@
 #ifndef SRC_NN_LOSS_H_
 #define SRC_NN_LOSS_H_
 
-#include <vector>
+#include <cstddef>
 
 namespace cdmpp {
 
@@ -11,18 +11,15 @@ enum class LossKind { kMse, kMape, kMspe, kHybrid };
 
 const char* LossKindName(LossKind kind);
 
-// Computes the loss value and the gradient d(loss)/d(pred_i) in one pass.
+// Computes the loss over n predictions and writes the gradient
+// d(loss)/d(pred_i) into grad[n] (overwritten) in one pass; returns the loss.
+// Each gradient element depends on its own prediction, target and n only.
 // `lambda` is the MAPE coefficient of the hybrid objective (paper: 1e-3 when
 // labels are raw latencies; with normalized labels, 0.1 keeps both terms at
 // the same order of magnitude, matching the paper's stated intent).
 // Targets with |y| < eps are guarded to avoid division blow-ups.
-struct LossResult {
-  double value = 0.0;
-  std::vector<float> grad;
-};
-
-LossResult ComputeLoss(LossKind kind, const std::vector<float>& pred,
-                       const std::vector<float>& target, double lambda);
+double ComputeLoss(LossKind kind, const float* pred, const float* target, size_t n,
+                   double lambda, float* grad);
 
 }  // namespace cdmpp
 

@@ -1,7 +1,7 @@
 // Dense row-major float matrix with the operations the NN library needs.
-// The MatMul* entry points are thin wrappers over the cache-blocked,
-// ParallelFor-parallelized kernel layer in src/nn/kernels.h — one kernel
-// layer to optimize instead of per-call-site loops.
+// The MatMul* entry points are thin wrappers over the cache-blocked kernel
+// layer in src/nn/kernels.h — one kernel layer to optimize instead of
+// per-call-site loops.
 #ifndef SRC_NN_MATRIX_H_
 #define SRC_NN_MATRIX_H_
 
@@ -29,16 +29,21 @@ class Matrix {
 
   // Reshapes to [rows, cols] without shrinking capacity: no heap traffic once
   // the buffer has grown to its steady-state size (the Workspace arena relies
-  // on this). Existing element values are NOT preserved in any meaningful
-  // layout; treat contents as unspecified after a Resize. Growing past the
-  // previous logical size zero-fills the new tail (vector::resize semantics)
-  // — a small one-time cost per slot until the request shapes stabilize, not
-  // a steady-state one.
+  // on this). Element i keeps its value for i below both sizes, so a reshape
+  // of the same size is a pure view change; the rest is unspecified. Growing
+  // past the previous logical size zero-fills the new tail (vector::resize
+  // semantics). Growing past the capacity reallocates to exactly the new
+  // size: an arena slot is sized by the largest tensor it has held, not
+  // rounded up to the next doubling.
   void Resize(int rows, int cols) {
     CDMPP_CHECK(rows >= 0 && cols >= 0);
     rows_ = rows;
     cols_ = cols;
-    data_.resize(static_cast<size_t>(rows) * cols);
+    const size_t n = static_cast<size_t>(rows) * cols;
+    if (n > data_.capacity()) {
+      data_.reserve(n);
+    }
+    data_.resize(n);
   }
 
   float& At(int r, int c) { return data_[static_cast<size_t>(r) * cols_ + c]; }

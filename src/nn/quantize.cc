@@ -8,7 +8,6 @@
 #include "src/obs/trace.h"
 #include "src/support/check.h"
 #include "src/support/cpu_features.h"
-#include "src/support/parallel_for.h"
 
 namespace cdmpp {
 
@@ -38,67 +37,48 @@ void QuantizeRowsImpl(int rows, int k, const float* x, int ldx, const float* inv
   const int k2 = (k + 1) / 2;
   CDMPP_CHECK(ldq >= 2 * k2);
   const float qmax = static_cast<float>(ActivationQMax(k));
-  // Rows are independent (per-ROW scale, by design) and every write — codes
-  // and scale — is row-disjoint, so batch rows split across cores without
-  // changing a single value; the quantized epilogue stays bitwise identical
-  // for every thread count.
-  auto quantize_rows = [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* row = x + i * ldx;
-      float absmax = 0.0f;
-      if (inv_col != nullptr) {
-        for (int p = 0; p < k; ++p) {
-          absmax = std::max(absmax, std::abs(row[p] * inv_col[p]));
-        }
-      } else {
-        for (int p = 0; p < k; ++p) {
-          absmax = std::max(absmax, std::abs(row[p]));
-        }
-      }
-      const float scale = absmax > 0.0f ? absmax / qmax : 1.0f;
-      scales[i] = scale;
-      const float inv_scale = 1.0f / scale;
-      int16_t* qrow = q + i * ldq;
-      if (inv_col != nullptr) {
-        for (int p = 0; p < k; ++p) {
-          qrow[p] = QuantizeValue(row[p] * inv_col[p], inv_scale, qmax);
-        }
-      } else {
-        for (int p = 0; p < k; ++p) {
-          qrow[p] = QuantizeValue(row[p], inv_scale, qmax);
-        }
-      }
-      for (int p = k; p < 2 * k2; ++p) {
-        qrow[p] = 0;  // pad pair: contributes exactly zero to the reduction
-      }
-    }
-  };
+  // Rows are independent (per-ROW scale, by design), so a row's codes and
+  // scale never depend on the batch it arrives in.
 #ifdef CDMPP_HAVE_AVX2_KERNELS
   // AVX2 hosts run the vectorized body (kernels_avx2.cc) — bitwise identical
-  // to the scalar loops below (pinned by quantize_test), so this per-ISA
+  // to the scalar loop below (pinned by quantize_test), so this per-ISA
   // dispatch, unlike the fp32 GEMMs', changes no output anywhere: the
   // quantized tier's cross-ISA bitwise contract is preserved exactly. The
   // serving profile motivated it: at the encoder's k = 64 the scalar two-pass
   // quantizer cost more than the int8 GEMM saved.
   if (ActiveKernelIsa() == KernelIsa::kAvx2) {
-    auto quantize_rows_avx2 = [&](int64_t r0, int64_t r1) {
-      kernels::detail::QuantizeRowsPanelAvx2(r0, r1, k, x, ldx, inv_col, qmax, q, ldq,
-                                             scales);
-    };
-    if (WorthForking(ThreadPool::Global(), rows, 8.0 * static_cast<double>(rows) * k)) {
-      ParallelFor(0, rows, ParallelGrain(rows), quantize_rows_avx2);
-    } else {
-      quantize_rows_avx2(0, rows);
-    }
+    kernels::detail::QuantizeRowsPanelAvx2(0, rows, k, x, ldx, inv_col, qmax, q, ldq, scales);
     return;
   }
 #endif
-  // ~8 work units per element (absmax pass + round/clamp/store pass),
-  // against the shared fork policy.
-  if (WorthForking(ThreadPool::Global(), rows, 8.0 * static_cast<double>(rows) * k)) {
-    ParallelFor(0, rows, ParallelGrain(rows), quantize_rows);
-  } else {
-    quantize_rows(0, rows);
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* row = x + i * ldx;
+    float absmax = 0.0f;
+    if (inv_col != nullptr) {
+      for (int p = 0; p < k; ++p) {
+        absmax = std::max(absmax, std::abs(row[p] * inv_col[p]));
+      }
+    } else {
+      for (int p = 0; p < k; ++p) {
+        absmax = std::max(absmax, std::abs(row[p]));
+      }
+    }
+    const float scale = absmax > 0.0f ? absmax / qmax : 1.0f;
+    scales[i] = scale;
+    const float inv_scale = 1.0f / scale;
+    int16_t* qrow = q + i * ldq;
+    if (inv_col != nullptr) {
+      for (int p = 0; p < k; ++p) {
+        qrow[p] = QuantizeValue(row[p] * inv_col[p], inv_scale, qmax);
+      }
+    } else {
+      for (int p = 0; p < k; ++p) {
+        qrow[p] = QuantizeValue(row[p], inv_scale, qmax);
+      }
+    }
+    for (int p = k; p < 2 * k2; ++p) {
+      qrow[p] = 0;  // pad pair: contributes exactly zero to the reduction
+    }
   }
 }
 

@@ -109,8 +109,8 @@ void QuantizeActivationsPerRow(int rows, int k, const float* x, int ldx, int16_t
 // are unchanged in form:
 //   a_i * s_j * sum_p q(x_ip / c_p) q(w_pj c_p)  ~=  sum_p x_ip w_pj,
 // so every bitwise contract of the plain path carries over verbatim: per-row
-// scales keep batch-size invariance, row-disjoint writes keep thread-count
-// invariance, and the pinned mul+add epilogue keeps cross-ISA identity.
+// scales keep batch-size invariance and the pinned mul+add epilogue keeps
+// cross-ISA identity.
 // What changes is the error: dividing out static per-channel magnitudes
 // homogenizes heterogeneous feature blocks (post-LayerNorm activations where
 // one hot gamma channel would otherwise set the whole row's scale), so the

@@ -22,15 +22,25 @@ Matrix* TransformerEncoderLayer::Forward(const Matrix& x, int seq_len, Workspace
   return norm2_.Forward(*ff, ws, train ? &cache->norm2 : nullptr);
 }
 
-Matrix TransformerEncoderLayer::Backward(const Cache& cache, const Matrix& dy) {
-  Matrix d_ff_sum = norm2_.Backward(cache.norm2, dy);
-  // d_ff_sum flows to both the FFN branch and the residual (h).
-  Matrix dh = ff1_->Backward(cache.ff1, ff2_->Backward(cache.ff2, d_ff_sum));
-  dh.AddInPlace(d_ff_sum);
+Matrix* TransformerEncoderLayer::Backward(const Cache& cache, const Matrix& dy, Workspace* ws,
+                                          const Shard& shard) {
+  // d_ff_sum flows to both the FFN branch and the residual (h): the FFN's
+  // input gradient is added onto it in place, making it dh. Once norm1 has
+  // read dh, its buffer carries the layer's result, and everything after it
+  // is released.
+  Matrix* dh = norm2_.Backward(cache.norm2, dy, ws, shard);
+  const size_t scratch = ws->Mark();
+  const Matrix& d_ff1 = *ff2_->Backward(cache.ff2, *dh, ws, shard);
+  ff1_->BackwardInto(cache.ff1, d_ff1, ws, shard, dh, /*accumulate=*/true);
+  ws->Rewind(scratch);
 
-  Matrix d_attn_sum = norm1_.Backward(cache.norm1, dh);
-  Matrix dx = attn_.Backward(cache.attn, d_attn_sum);
-  dx.AddInPlace(d_attn_sum);
+  const Matrix& d_attn_sum = *norm1_.Backward(cache.norm1, *dh, ws, shard);
+  const Matrix& d_attn = *attn_.Backward(cache.attn, d_attn_sum, ws, shard);
+  Matrix* dx = dh;
+  for (size_t i = 0; i < dx->size(); ++i) {
+    dx->data()[i] = d_attn.data()[i] + d_attn_sum.data()[i];
+  }
+  ws->Rewind(scratch);
   return dx;
 }
 
@@ -65,12 +75,15 @@ Matrix* TransformerEncoder::Forward(const Matrix& x, int seq_len, Workspace* ws,
   return out;
 }
 
-Matrix TransformerEncoder::Backward(const Cache& cache, const Matrix& dy) {
-  Matrix d = dy;
+Matrix* TransformerEncoder::Backward(const Cache& cache, const Matrix& dy, Workspace* ws,
+                                     const Shard& shard) {
+  const Matrix* d = &dy;
+  Matrix* dx = nullptr;
   for (size_t i = layers_.size(); i-- > 0;) {
-    d = layers_[i]->Backward(cache.layers[i], d);
+    dx = layers_[i]->Backward(cache.layers[i], *d, ws, shard);
+    d = dx;
   }
-  return d;
+  return dx;
 }
 
 void TransformerEncoder::CollectParams(std::vector<Param*>* out) {
@@ -92,10 +105,7 @@ QuantizedTransformerEncoderLayer::QuantizedTransformerEncoderLayer(
 Matrix* QuantizedTransformerEncoderLayer::Forward(const Matrix& x, int seq_len,
                                                   Workspace* ws) const {
   // Mirrors the fp32 layer exactly, with the weight GEMMs swapped for their
-  // quantized snapshots. Residual adds and LayerNorms are fp32: every
-  // parallel region inside (attention chunks, LayerNorm rows, activation
-  // quantization rows) writes disjoint regions, so the whole layer stays
-  // bitwise thread-count-invariant.
+  // quantized snapshots. Residual adds and LayerNorms are fp32.
   Matrix* attn_out = attn_.Forward(x, seq_len, ws);
   attn_out->AddInPlace(x);  // residual
   Matrix* h = norm1_.Forward(*attn_out, ws);

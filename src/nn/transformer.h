@@ -24,7 +24,7 @@ class TransformerEncoderLayer : public Module {
 
   // The FFN's hidden layer runs bias + ReLU fused into its GEMM.
   Matrix* Forward(const Matrix& x, int seq_len, Workspace* ws, Cache* cache = nullptr) const;
-  Matrix Backward(const Cache& cache, const Matrix& dy);
+  Matrix* Backward(const Cache& cache, const Matrix& dy, Workspace* ws, const Shard& shard = {});
   void CollectParams(std::vector<Param*>* out) override;
 
   // Read-only sublayer views: the int8 calibration path
@@ -57,7 +57,7 @@ class TransformerEncoder : public Module {
   // is safe for concurrent use on a shared encoder while no thread is
   // training it (see src/nn/layers.h).
   Matrix* Forward(const Matrix& x, int seq_len, Workspace* ws, Cache* cache = nullptr) const;
-  Matrix Backward(const Cache& cache, const Matrix& dy);
+  Matrix* Backward(const Cache& cache, const Matrix& dy, Workspace* ws, const Shard& shard = {});
   void CollectParams(std::vector<Param*>* out) override;
 
   int d_model() const { return d_model_; }

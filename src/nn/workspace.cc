@@ -6,11 +6,11 @@ namespace cdmpp {
 
 namespace {
 
-// Pool traffic counters: checkouts tell how much per-chunk scratch the data
-// plane leases; the steady-state pool size tracks the peak number of live
-// leases (serve workers + chunks of every concurrently forked region, now
-// that regions compose), so growths that keep climbing after warm-up mean
-// arenas are leaking or the workload keeps outgrowing the pool.
+// Pool traffic counters: checkouts tell how many arenas the data plane
+// leases; the steady-state pool size tracks the peak number of live leases
+// (serve workers plus training or evaluation shards), so growths that keep
+// climbing after warm-up mean arenas are leaking or the workload keeps
+// outgrowing the pool.
 obs::Counter& CheckoutCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter("workspace_pool.checkouts");
   return c;

@@ -1,8 +1,10 @@
-// Workspace: a bump arena of reusable Matrix buffers for every forward pass,
-// plus WorkspacePool: a thread-safe lending library of such arenas.
+// Workspace: a bump arena of reusable Matrix buffers for every forward and
+// backward pass, plus WorkspacePool: a thread-safe lending library of such
+// arenas.
 //
-// Every layer's one Forward(..., Workspace*, Cache*) takes its output and
-// all intermediate tensors from the workspace instead of the heap. Usage:
+// Every layer's one Forward(..., Workspace*, Cache*) and its Backward take
+// their outputs and all intermediate tensors from the workspace instead of
+// the heap. Usage:
 //
 //   Workspace ws;                       // one per thread (not thread-safe)
 //   ws.Reset();                         // rewind before each forward pass
@@ -11,22 +13,22 @@
 //   Linear::Cache cache;                // training: the same pass, recorded
 //   ws.Reset();
 //   Matrix* y = layer.Forward(x, &ws, &cache);
-//   Matrix dx = layer.Backward(cache, dy);  // before the next Reset()
+//   Matrix* dx = layer.Backward(cache, dy, &ws);  // before the next Reset()
 //
 // Reset() rewinds the slot cursor without freeing, so after the first pass
 // per shape ("warm"), NewMatrix is a pointer bump plus a capacity-preserving
-// resize: steady-state forward passes, training ones included, perform zero
-// heap allocations (see tests/dataplane_test.cc, which asserts this with a
+// resize: steady-state passes, training steps included, perform zero heap
+// allocations (see tests/dataplane_test.cc, which asserts this with a
 // counting allocator). Matrices keep stable addresses across Reset() because
-// slots are pooled behind unique_ptr.
+// slots are pooled behind unique_ptr. Mark()/Rewind() release a pass's
+// temporaries early, so a backward pass holds a few tensors at a time.
 //
 // A single-owner Workspace stays the fast path. The pool exists for the two
 // places ownership is not one-thread-one-arena: serving workers lease their
-// batch arena for the worker's lifetime, and the batch-row-parallel layers
-// (attention's per-(sample, head) chunks) lease short-lived scratch arenas
-// per ParallelFor chunk. Checkout never blocks — the pool grows on demand —
-// so nested leases (a worker holding its arena while attention chunks lease
-// scratch inside the same forward) cannot deadlock by construction.
+// batch arena for the worker's lifetime, and the training and evaluation
+// shards (src/core/predictor.cc) lease one arena per shard. Checkout never
+// blocks — the pool grows on demand — so nested leases cannot deadlock by
+// construction.
 #ifndef SRC_NN_WORKSPACE_H_
 #define SRC_NN_WORKSPACE_H_
 
@@ -64,6 +66,14 @@ class Workspace {
     i16_cursor_ = 0;
   }
 
+  // Rewind(Mark()) releases every matrix handed out after the mark; the next
+  // NewMatrix calls reuse their slots and capacity.
+  size_t Mark() const { return cursor_; }
+  void Rewind(size_t mark) {
+    CDMPP_CHECK(mark <= cursor_);
+    cursor_ = mark;
+  }
+
   // Introspection (tests, stats).
   size_t num_slots() const { return slots_.size(); }
   size_t live_slots() const { return cursor_; }
@@ -90,13 +100,10 @@ class Workspace {
 //   * The free list is LIFO: the most recently returned — cache-hot, already
 //     grown — arena is the next one lent.
 //   * An arena may be USED by a thread other than the one that checked it
-//     out: ParallelForWithScratch checks out every lease on the calling
-//     thread before the region forks, and a stealing pool worker then runs
-//     the chunk that bumps that arena. This is safe because each chunk has
-//     the arena exclusively, the region publish/join path (a mutex in
-//     parallel_for.cc) orders the checkout before any stolen chunk runs, and
-//     the executors-drained barrier orders every chunk's arena writes before
-//     the caller returns the leases.
+//     out: a training shard's arena is leased by the thread that drives the
+//     step and bumped by whichever pool thread runs that shard. The fork and
+//     join of each region (src/support/parallel_for.cc) order the lease
+//     before the shard body and the shard body before the return.
 class WorkspacePool {
  public:
   WorkspacePool() = default;
@@ -149,10 +156,10 @@ class WorkspacePool {
   };
   Lease Acquire() { return Lease(this); }
 
-  // Process-wide pool the inference data plane leases from: serving workers,
-  // the convenience PredictBatched overloads, and the batch-row-parallel
-  // layer chunks all share it, so warm arenas migrate to wherever the load
-  // is instead of accumulating per thread.
+  // Process-wide pool the data plane leases from: serving workers, the
+  // convenience PredictBatched overloads, and the training and evaluation
+  // shards all share it, so warm arenas migrate to wherever the load is
+  // instead of accumulating per thread.
   static WorkspacePool& Global();
 
   // Introspection (tests, stats). num_arenas() - num_free() arenas are

@@ -9,11 +9,10 @@
 // when sampling is off — ScopedSpan is a thread-local load and a branch: no
 // clock read, no allocation, nothing the ≤1% overhead gate can see.
 //
-// Spans are recorded only on the thread that owns the binding. ParallelFor
-// chunk bodies never open spans, so tracing cannot perturb chunk scheduling
-// and the thread-count bitwise-invariance contract is untouched: a stage that
-// forks internally (attention, GEMM panels) is measured as whole-call wall
-// time on the calling worker.
+// Spans are recorded only on the thread that owns the binding. A serving
+// worker runs its whole forward on its own thread, so every stage is
+// measured as wall time on that worker, and tracing cannot perturb the
+// computed values.
 //
 // Attribution uses EXCLUSIVE time — each span's duration minus its nested
 // children — so per-stage numbers sum to (at most) the request total and the

@@ -17,16 +17,12 @@
 // Threading model: workers never take an exclusive lock on the hot path. The
 // model is shared read-only through CdmppPredictor::PredictBatched (const,
 // cache-free — see src/core/predictor.h); an exclusive lock is taken only on
-// the rare first sighting of a new leaf count, to create its head. Two
-// parallelism levels compose: worker-level batching (one arena per worker,
-// leased from WorkspacePool::Global() for the worker's lifetime) and
-// intra-request parallelism inside each forward (GEMM row panels and the
-// encoder's batch-row attention chunks fork across ThreadPool::Global(),
-// leasing per-chunk scratch from the same pool — checkout grows on demand
-// and never blocks, so nested leases cannot deadlock). Results are bitwise
-// identical for every CDMPP_NUM_THREADS value; see README "Threading model"
-// for when intra-request threads help (big batches) vs hurt (QPS-bound
-// many-worker serving).
+// the rare first sighting of a new leaf count, to create its head. Serving
+// parallelism is worker-level only: each worker runs its whole forward on its
+// own thread, over one arena leased from WorkspacePool::Global() for the
+// worker's lifetime, and never forks (lint rule R5). Forking inside a
+// forward measured slower than running it on the worker at the predictor's
+// shapes; see README "Threading model".
 #ifndef SRC_SERVE_PREDICTION_SERVICE_H_
 #define SRC_SERVE_PREDICTION_SERVICE_H_
 

@@ -1,15 +1,16 @@
-// A persistent worker pool with a single primitive: ParallelFor over an
-// integer range. This is the only threading construct the compute data plane
-// (src/nn/kernels.cc and the batch-row loops in the layers) uses, so the
-// whole library shares one pool instead of spawning threads per call.
+// A persistent fork-join worker pool with a single primitive: ParallelFor over
+// an integer range.
 //
-// Multiple top-level regions may be in flight at once: each ParallelFor
-// publishes its chunk descriptor into a registry, drains its own region, and
-// idle pool workers steal chunks from whichever registered region still has
-// some. Concurrent callers therefore compose instead of convoying — a serve
-// worker's GEMM no longer collapses to serial because another worker's
-// forward got to the pool first. See parallel_for.cc for the scheduler and
-// the README "Threading model" section for the determinism argument.
+// The library forks coarse work only: training splits each batch into
+// consecutive sample shards and runs one region per phase (forward, backward,
+// optimizer step), and evaluation shards its forwards the same way (see
+// src/core/predictor.cc). Layers, kernels, serving and search never fork
+// (tools/lint_invariants.py rule R5): a serve or tune worker runs each forward
+// on its own thread.
+//
+// The pool runs one region at a time. A caller that finds it busy, or that is
+// already inside a region, runs its whole range inline: for the coarse work
+// above that is as fast as waiting, and it can never deadlock.
 //
 // Sizing: the global pool honors the CDMPP_NUM_THREADS environment variable
 // (a complete decimal integer in [1, 1024]); malformed or out-of-range values
@@ -20,23 +21,8 @@
 
 #include <cstdint>
 #include <type_traits>
-#include <utility>
 
 namespace cdmpp {
-
-// ---- Shared serial-vs-fork policy for the data-plane loops. -----------------
-//
-// Forking a region costs a fixed wake/join handshake, so small loops run
-// faster inline. Every data-plane loop (GEMM row panels in kernels.cc,
-// attention's per-(sample, head) blocks, the row/elementwise loops in
-// layers.cc and quantize.cc) shares this one threshold instead of inventing
-// its own: call sites pass their estimated work in flop-equivalents
-// (memory-bound loops weight each element by its rough op count), and the
-// constant is tuned in exactly one place. 2*m*n*k for the d_model=64
-// predictor GEMM shapes crosses this around batch 16.
-constexpr double kParallelMinWork = 256.0 * 1024.0;
-
-inline bool WorthForkingWork(double work) { return work >= kParallelMinWork; }
 
 class ThreadPool {
  public:
@@ -53,18 +39,10 @@ class ThreadPool {
 
   // Routes Global() to `pool` until called again (nullptr restores the real
   // global). Test/bench hook: the real global reads CDMPP_NUM_THREADS once
-  // per process, so measuring the data plane under several pool sizes in one
-  // process needs this seam (tests/threading_test.cc, the
-  // bench_serve_throughput threads series). Switch only while no ParallelFor
-  // region is in flight, and clear the override before destroying `pool`.
+  // per process, so running one process under several pool sizes needs this
+  // seam. Switch only while no region is in flight, and clear the override
+  // before destroying `pool`.
   static void SetGlobalForTesting(ThreadPool* pool);
-
-  // True on a thread currently executing chunks of some ParallelFor region
-  // (a pool worker, or the caller driving a region). Nested ParallelFor
-  // calls from such a thread always run inline and serial;
-  // ParallelForWithScratch uses this to lease a single scratch arena in
-  // that case instead of one per would-be chunk.
-  static bool InParallelRegion();
 
   // Resolves the pool size Global() uses from a CDMPP_NUM_THREADS value
   // (may be null) and the detected hardware concurrency. A value that is not
@@ -78,101 +56,28 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  // Splits [begin, end) into chunks of at most `grain` iterations and invokes
+  // Splits [begin, end) into chunks of at most `grain` iterations, chunk j
+  // being [begin + j*grain, min(end, begin + (j+1)*grain)), and invokes
   // fn(chunk_begin, chunk_end) across the pool; the calling thread
   // participates. Blocks until every chunk has completed.
   //
-  // - Concurrent top-level callers compose: each call registers its own
-  //   region and idle workers steal chunks from any live region, so a busy
-  //   pool never demotes a top-level call to serial (the pre-stealing
-  //   scheduler did exactly that, counted as serial_contended; that counter
-  //   now only moves on registry overflow at 256 concurrent regions).
+  // - Chunks are claimed in increasing order from one shared cursor, so when
+  //   chunk j runs, every chunk before it has been claimed by a thread that
+  //   is running it or is done with it. A chunk may therefore wait on an
+  //   earlier chunk (the training shards' ordered gradient accumulation does)
+  //   without deadlock, at any pool size.
   // - Runs serially inline (one fn(begin, end) call) when the range fits a
-  //   single chunk, the pool has one thread, or the caller is already inside
-  //   a ParallelFor (nested submits never deadlock; see parallel_for.cc for
-  //   why nested stays inline-serial).
+  //   single chunk, the pool has one thread, another region is in flight, or
+  //   the caller is itself inside a region.
   // - Exceptions thrown by fn are caught; the first one is rethrown on the
-  //   calling thread after all remaining chunks have been drained (their
-  //   bodies are skipped once a failure is recorded). Failures never leak
-  //   across regions: a stealing worker reports into the region that owns
-  //   the chunk it was running.
-  // - fn must be safe to run concurrently on disjoint chunks. Callers that
-  //   need run-to-run determinism (the GEMM kernels guarantee bitwise
-  //   batch-size-invariant results) must make per-element output independent
-  //   of the chunk partition; the partition itself is fixed at begin + j*grain
-  //   no matter which threads claim the chunks.
+  //   calling thread after all remaining chunks have been claimed (their
+  //   bodies are skipped once a failure is recorded).
   template <typename Fn>
   void ParallelFor(int64_t begin, int64_t end, int64_t grain, Fn&& fn) {
     using F = typename std::remove_reference<Fn>::type;
     RunImpl(begin, end, grain,
             [](void* ctx, int64_t b, int64_t e) { (*static_cast<F*>(ctx))(b, e); },
             const_cast<void*>(static_cast<const void*>(&fn)));
-  }
-
-  // Hard cap on the number of chunks ParallelForWithScratch will create; the
-  // grain is raised as needed so the lease table fits on the stack. 4 chunks
-  // per thread up to 64 threads — far past the point where more chunks stop
-  // helping load balance.
-  static constexpr int kMaxScratchChunks = 256;
-
-  // Like ParallelFor, but hands each chunk a private scratch object leased
-  // from `pool`: fn(scratch, chunk_begin, chunk_end). Pool is any type with
-  // `T* Checkout()` / `void Return(T*)` — in practice WorkspacePool
-  // (src/nn/workspace.h); keeping it a template parameter keeps support/
-  // layered below nn/.
-  //
-  // Every lease is checked out by the CALLING thread before the region forks
-  // and chunk j always receives lease j, so which arena serves which chunk
-  // does not depend on thread scheduling: a single-threaded caller repeats
-  // the same checkout sequence every pass, which is what lets a warm pool
-  // serve the whole region without touching the heap (the dataplane
-  // zero-allocation tests rely on this determinism). All leases are returned
-  // even when a chunk body throws. The scratch contents are chunk-private;
-  // callers needing bitwise run-to-run determinism must still keep
-  // per-element output independent of the chunk partition, exactly as with
-  // plain ParallelFor.
-  template <typename Pool, typename Fn>
-  void ParallelForWithScratch(Pool& pool, int64_t begin, int64_t end, int64_t grain,
-                              Fn&& fn) {
-    if (begin >= end) {
-      return;
-    }
-    grain = grain < 1 ? 1 : grain;
-    int64_t num_chunks = (end - begin + grain - 1) / grain;
-    if (num_chunks > kMaxScratchChunks) {
-      grain = (end - begin + kMaxScratchChunks - 1) / kMaxScratchChunks;
-      num_chunks = (end - begin + grain - 1) / grain;
-    }
-    // A single-thread pool or a nested call is guaranteed to run inline as
-    // one chunk (same conditions RunImpl checks): don't lease scratch that
-    // cannot be used. (The only other inline fallback left is registry
-    // overflow at 256 concurrent regions, discovered inside RunImpl; that
-    // vanishingly rare case pays for its unused leases.)
-    if (num_threads_ == 1 || InParallelRegion()) {
-      grain = end - begin;
-      num_chunks = 1;
-    }
-    using Scratch = typename std::remove_pointer<decltype(pool.Checkout())>::type;
-    Scratch* scratch[kMaxScratchChunks];
-    struct Returner {
-      Pool& pool;
-      Scratch** scratch;
-      int64_t n = 0;
-      ~Returner() {
-        for (int64_t i = 0; i < n; ++i) {
-          pool.Return(scratch[i]);
-        }
-      }
-    } returner{pool, scratch};
-    for (int64_t i = 0; i < num_chunks; ++i) {
-      scratch[i] = pool.Checkout();
-      returner.n = i + 1;
-    }
-    // Chunks are claimed at begin + j*grain exactly (RunImpl advances a
-    // shared cursor by `grain`), so the chunk index below is total.
-    ParallelFor(begin, end, grain, [&](int64_t b, int64_t e) {
-      fn(scratch[(b - begin) / grain], b, e);
-    });
   }
 
  private:
@@ -184,32 +89,6 @@ class ThreadPool {
   int num_threads_ = 1;
   Impl* impl_ = nullptr;
 };
-
-// Convenience wrapper over the global pool.
-template <typename Fn>
-void ParallelFor(int64_t begin, int64_t end, int64_t grain, Fn&& fn) {
-  ThreadPool::Global().ParallelFor(begin, end, grain, std::forward<Fn>(fn));
-}
-
-// The full fork decision every data-plane call site shares: forking pays off
-// only when the pool actually has extra threads, the range splits into more
-// than one item, and the estimated work (flop-equivalents, see
-// kParallelMinWork) amortizes the publish/wake handshake. Call sites that
-// skip the fork run their body inline without even touching the pool.
-// Centralizing this beats each TU re-deriving the pool/items checks — with
-// regions now composing, the policy is purely about overhead, not about
-// dodging a busy pool.
-inline bool WorthForking(const ThreadPool& pool, int64_t items, double work) {
-  return pool.num_threads() > 1 && items > 1 && WorthForkingWork(work);
-}
-
-// Load-balance grain over `n` items: ~4 chunks per global-pool thread
-// (clamped to >= 1). The kernel row panels further align this to their
-// register tile; everyone else uses it as-is.
-inline int64_t ParallelGrain(int64_t n) {
-  const int64_t chunks = static_cast<int64_t>(ThreadPool::Global().num_threads()) * 4;
-  return n <= chunks ? 1 : (n + chunks - 1) / chunks;
-}
 
 }  // namespace cdmpp
 

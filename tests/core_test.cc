@@ -6,8 +6,7 @@
 #include "src/core/predictor.h"
 #include "src/core/sampler.h"
 #include "src/ml/cmd.h"
-#include "src/support/cpu_features.h"
-#include "src/support/fnv_hash.h"
+#include "tests/golden_training.h"
 
 namespace cdmpp {
 namespace {
@@ -103,43 +102,14 @@ TEST(PredictorTest, PredictAstMatchesPredictOnSameProgram) {
   }
 }
 
-uint64_t HashParams(const std::vector<Matrix>& params) {
-  uint64_t h = kFnvOffset;
-  for (const Matrix& m : params) {
-    h = FnvMix(h, static_cast<uint64_t>(m.rows()));
-    h = FnvMix(h, static_cast<uint64_t>(m.cols()));
-    for (size_t i = 0; i < m.size(); ++i) {
-      h = FnvMixFloat(h, m.data()[i]);
-    }
-  }
-  return h;
-}
-
 TEST(PredictorGoldenTest, PretrainThenCmdFinetuneParamsArePinned) {
-  // Every parameter bit after a pre-training run (with best-validation
-  // selection) and a CMD fine-tune (alpha > 0, both domain passes), pinned
-  // to hashes recorded before training moved onto the shared arena forward.
-  // One hash pair per kernel ISA; thread count never changes them.
-  const Dataset& ds = SmallDataset();
-  Rng rng(21);
-  SplitIndices src = SplitDataset(ds, {0}, {}, &rng);
-  std::vector<int> tgt = SamplesOnDevice(ds, 3);
-  tgt.resize(std::min<size_t>(tgt.size(), 240));
-  ASSERT_GE(tgt.size(), 40u);
-  std::vector<int> labeled(tgt.begin(), tgt.begin() + 40);
-  std::vector<int> src_sub(src.train.begin(),
-                           src.train.begin() + std::min<size_t>(240, src.train.size()));
-  PredictorConfig cfg = FastConfig();
-  cfg.epochs = 6;
-  cfg.alpha_cmd = 0.3;
-  CdmppPredictor predictor(cfg);
-  predictor.Pretrain(ds, src.train, src.valid);
-  const bool avx2 = ActiveKernelIsa() == KernelIsa::kAvx2;
-  EXPECT_EQ(HashParams(predictor.ExportParams()),
-            avx2 ? 0x2256985d86540d2cull : 0x7f64fc862033cdcdull);
-  predictor.Finetune(ds, labeled, src_sub, tgt, 3);
-  EXPECT_EQ(HashParams(predictor.ExportParams()),
-            avx2 ? 0xf999eb560d8654bcull : 0x6286d669fd377237ull);
+  // Every parameter bit after pre-training and a CMD fine-tune, pinned
+  // (tests/golden_training.h; threading_test runs it at several pool sizes).
+  ASSERT_GE(SamplesOnDevice(GoldenDataset(), 3).size(), 40u);
+  const GoldenHashes want = ExpectedGoldenHashes();
+  const GoldenHashes got = RunGoldenTraining();
+  EXPECT_EQ(got.pretrain, want.pretrain);
+  EXPECT_EQ(got.finetune, want.finetune);
 }
 
 TEST(PredictorTest, CmdFinetuneReducesLatentDiscrepancy) {

@@ -1,8 +1,11 @@
 // Data-plane allocation tests: a counting global allocator asserts that the
 // one forward per layer performs ZERO heap allocations once warm — for
 // inference (no cache) and for training (with a cache) over a Workspace
-// arena — and so does the full CdmppPredictor::PredictBatched. Plus bitwise
+// arena — and so do the full CdmppPredictor::PredictBatched and a whole
+// sharded training step (forward, backward with ordered gradient
+// accumulation, clipping and Adam) at pool sizes 1 and 4. Plus bitwise
 // equivalence of batched and singleton predictions.
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <new>
@@ -12,6 +15,7 @@
 
 #include "src/core/predictor.h"
 #include "src/nn/workspace.h"
+#include "src/support/parallel_for.h"
 #include "src/tir/schedule.h"
 
 // ---- Counting allocator ----------------------------------------------------
@@ -22,9 +26,13 @@
 // counters; the assertions below only examine the calling thread, which is
 // the thread the Workspace/BatchPlan reuse contract applies to.
 static thread_local long g_thread_allocs = 0;
+// Every thread's operator-new calls: a sharded training step runs on pool
+// workers too.
+static std::atomic<long> g_all_allocs{0};
 
 static void* CountedAlloc(std::size_t size) {
   ++g_thread_allocs;
+  g_all_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
   }
@@ -197,8 +205,8 @@ TEST(DataPlaneAllocTest, TrainingForwardWithCacheIsAllocationFreeWhenWarm) {
   enc.ZeroGrad();
   Matrix dy(y->rows(), y->cols());
   dy.Fill(1.0f);
-  Matrix dh = head.Backward(head_cache, dy);
-  Matrix dx = input.Backward(input_cache, enc.Backward(enc_cache, dh));
+  const Matrix& dh = *head.Backward(head_cache, dy, &ws);
+  const Matrix& dx = *input.Backward(input_cache, *enc.Backward(enc_cache, dh, &ws), &ws);
   EXPECT_EQ(dx.rows(), x.rows());
   EXPECT_EQ(dx.cols(), x.cols());
 }
@@ -254,6 +262,41 @@ TEST(DataPlaneEquivalenceTest, BatchedViewMatchesSingletonViewsBitwise) {
     EXPECT_EQ(batched[i], pred) << "request " << i;  // bitwise
     EXPECT_GT(pred, 0.0);
     EXPECT_TRUE(std::isfinite(pred));
+  }
+}
+
+TEST(DataPlaneAllocTest, WarmShardedTrainingStepIsAllocationFree) {
+  TestWorld& w = World();
+  // One batch of a leaf count the predictor has a head for, large enough
+  // that four shards get several samples each.
+  std::vector<int> all(w.ds.samples.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    all[i] = static_cast<int>(i);
+  }
+  Batch batch;
+  for (const auto& [leaves, indices] : GroupByLeafCount(w.ds, all)) {
+    if (w.predictor->HasHead(leaves) && indices.size() > batch.sample_indices.size()) {
+      batch.seq_len = leaves;
+      batch.sample_indices.assign(indices.begin(),
+                                  indices.begin() + std::min<size_t>(indices.size(), 22));
+    }
+  }
+  ASSERT_GE(batch.sample_indices.size(), 8u);
+  const AstBatchView view = DatasetView(w.ds);
+  const std::vector<float> targets(w.ds.samples.size(), 4.0f);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    ThreadPool::SetGlobalForTesting(&pool);
+    for (int warm = 0; warm < 3; ++warm) {
+      w.predictor->TrainStep(view, batch, targets.data());
+    }
+    const long before = g_all_allocs.load();
+    const double loss = w.predictor->TrainStep(view, batch, targets.data());
+    const long delta = g_all_allocs.load() - before;
+    ThreadPool::SetGlobalForTesting(nullptr);
+    EXPECT_EQ(delta, 0) << "a warm sharded training step must not touch the heap";
+    EXPECT_TRUE(std::isfinite(loss));
   }
 }
 

@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +12,7 @@
 #include "src/nn/transformer.h"
 #include "src/support/cpu_features.h"
 #include "src/support/fnv_hash.h"
+#include "src/support/parallel_for.h"
 #include "tests/grad_check.h"
 
 namespace cdmpp {
@@ -51,7 +55,7 @@ Step ForwardBackward(Layer* layer, const Matrix& x, const Matrix& dy, SeqLen... 
   typename Layer::Cache cache;
   Step step;
   step.y = *layer->Forward(x, seq_len..., &ws, &cache);
-  step.dx = layer->Backward(cache, dy);
+  step.dx = *layer->Backward(cache, dy, &ws);
   return step;
 }
 
@@ -156,7 +160,7 @@ TEST(LinearTest, FusedReluBackwardMasksOnTheOutput) {
   Linear::Cache relu_cache;
   const Matrix& y = *layer.Forward(x, &ws, &relu_cache, kernels::Activation::kRelu);
   layer.ZeroGrad();
-  Matrix dx_relu = layer.Backward(relu_cache, dy);
+  Matrix dx_relu = *layer.Backward(relu_cache, dy, &ws);
   Matrix masked = dy;
   for (size_t i = 0; i < masked.size(); ++i) {
     if (y.data()[i] <= 0.0f) {
@@ -445,6 +449,207 @@ TEST(LayerGoldenTest, Encoder) {
   EXPECT_EQ(StepHash(&layer, x, dy, 9), PinnedFor(0x897d39b9fc7bd64eull, 0xd7840daa67cb0149ull));
 }
 
+// ---- Sharded backward -------------------------------------------------------
+//
+// A batch split into k consecutive shards whose passes run concurrently, each
+// in its own arena and with its own cache, the shards adding to each
+// parameter gradient in turn, gives bitwise the one-shard output, input
+// gradient and parameter gradients.
+
+Matrix RowsOf(const Matrix& m, int r0, int r1) {
+  Matrix out(r1 - r0, m.cols());
+  std::copy(m.Row(r0), m.Row(r0) + out.size(), out.data());
+  return out;
+}
+
+// Hash of output, input gradient and parameter gradients of one step of
+// `layer` run as `count` concurrent shards of whole samples
+// (`rows_per_sample` rows each). fwd(x, ws, cache) and
+// bwd(cache, dy, ws, shard) run the layer's passes.
+template <typename Cache, typename Fwd, typename Bwd>
+uint64_t ShardedStepHash(Module* layer, const Matrix& x, const Matrix& dy, int rows_per_sample,
+                         int count, Fwd fwd, Bwd bwd) {
+  layer->ZeroGrad();
+  const int samples = x.rows() / rows_per_sample;
+  std::vector<int> first(static_cast<size_t>(count) + 1);
+  for (int s = 0; s <= count; ++s) {
+    first[static_cast<size_t>(s)] = samples * s / count * rows_per_sample;
+  }
+  std::vector<Workspace> ws(static_cast<size_t>(count));
+  std::vector<Cache> caches(static_cast<size_t>(count));
+  std::vector<Matrix> xs, dys, ys(static_cast<size_t>(count)), dxs(static_cast<size_t>(count));
+  for (int s = 0; s < count; ++s) {
+    xs.push_back(RowsOf(x, first[static_cast<size_t>(s)], first[static_cast<size_t>(s) + 1]));
+    dys.push_back(RowsOf(dy, first[static_cast<size_t>(s)], first[static_cast<size_t>(s) + 1]));
+  }
+  ThreadPool pool(count);
+  pool.ParallelFor(0, count, 1, [&](int64_t b, int64_t e) {
+    for (int64_t s = b; s < e; ++s) {
+      const size_t i = static_cast<size_t>(s);
+      ys[i] = *fwd(xs[i], &ws[i], &caches[i]);
+    }
+  });
+  pool.ParallelFor(0, count, 1, [&](int64_t b, int64_t e) {
+    for (int64_t s = b; s < e; ++s) {
+      const size_t i = static_cast<size_t>(s);
+      dxs[i] = *bwd(caches[i], dys[i], &ws[i], Shard{static_cast<int>(s), count});
+    }
+  });
+  Matrix y(x.rows(), ys[0].cols());
+  Matrix dx(x.rows(), x.cols());
+  for (int s = 0; s < count; ++s) {
+    const size_t i = static_cast<size_t>(s);
+    std::copy(ys[i].data(), ys[i].data() + ys[i].size(), y.Row(first[i]));
+    std::copy(dxs[i].data(), dxs[i].data() + dxs[i].size(), dx.Row(first[i]));
+  }
+  uint64_t h = MixMatrix(MixMatrix(kFnvOffset, y), dx);
+  std::vector<Param*> params;
+  layer->CollectParams(&params);
+  for (Param* p : params) {
+    h = MixMatrix(h, p->grad);
+  }
+  return h;
+}
+
+template <typename Cache, typename Fwd, typename Bwd>
+void ExpectShardsMatchOneShard(Module* layer, const Matrix& x, const Matrix& dy,
+                               int rows_per_sample, Fwd fwd, Bwd bwd) {
+  const uint64_t one = ShardedStepHash<Cache>(layer, x, dy, rows_per_sample, 1, fwd, bwd);
+  for (int count = 2; count <= 5; ++count) {
+    for (int rep = 0; rep < 3; ++rep) {  // the interleaving varies; the bits must not
+      EXPECT_EQ(ShardedStepHash<Cache>(layer, x, dy, rows_per_sample, count, fwd, bwd), one)
+          << count << " shards, rep " << rep;
+    }
+  }
+}
+
+TEST(ShardedBackwardTest, LinearBothActivations) {
+  Rng rng(120);
+  Linear layer(40, 24, &rng);
+  Matrix x = RandomMatrix(13, 40, &rng);
+  Matrix dy = RandomMatrix(13, 24, &rng);
+  for (kernels::Activation act : {kernels::Activation::kNone, kernels::Activation::kRelu}) {
+    ExpectShardsMatchOneShard<Linear::Cache>(
+        &layer, x, dy, 1,
+        [&](const Matrix& in, Workspace* ws, Linear::Cache* c) {
+          return layer.Forward(in, ws, c, act);
+        },
+        [&](const Linear::Cache& c, const Matrix& d, Workspace* ws, const Shard& shard) {
+          return layer.Backward(c, d, ws, shard);
+        });
+  }
+}
+
+TEST(ShardedBackwardTest, LayerNorm) {
+  Rng rng(121);
+  LayerNorm layer(24);
+  Matrix x = RandomMatrix(13, 24, &rng, 3.0);
+  Matrix dy = RandomMatrix(13, 24, &rng);
+  ExpectShardsMatchOneShard<LayerNorm::Cache>(
+      &layer, x, dy, 1,
+      [&](const Matrix& in, Workspace* ws, LayerNorm::Cache* c) {
+        return layer.Forward(in, ws, c);
+      },
+      [&](const LayerNorm::Cache& c, const Matrix& d, Workspace* ws, const Shard& shard) {
+        return layer.Backward(c, d, ws, shard);
+      });
+}
+
+TEST(ShardedBackwardTest, AttentionDHead12) {
+  Rng rng(122);
+  MultiHeadSelfAttention layer(48, 4, &rng);
+  const int seq_len = 5;
+  Matrix x = RandomMatrix(11 * seq_len, 48, &rng);
+  Matrix dy = RandomMatrix(11 * seq_len, 48, &rng);
+  ExpectShardsMatchOneShard<MultiHeadSelfAttention::Cache>(
+      &layer, x, dy, seq_len,
+      [&](const Matrix& in, Workspace* ws, MultiHeadSelfAttention::Cache* c) {
+        return layer.Forward(in, seq_len, ws, c);
+      },
+      [&](const MultiHeadSelfAttention::Cache& c, const Matrix& d, Workspace* ws,
+          const Shard& shard) { return layer.Backward(c, d, ws, shard); });
+}
+
+TEST(ShardedBackwardTest, Encoder) {
+  Rng rng(123);
+  TransformerEncoder layer(64, 4, 128, 2, &rng);
+  const int seq_len = 6;
+  Matrix x = RandomMatrix(11 * seq_len, 64, &rng);
+  Matrix dy = RandomMatrix(11 * seq_len, 64, &rng);
+  ExpectShardsMatchOneShard<TransformerEncoder::Cache>(
+      &layer, x, dy, seq_len,
+      [&](const Matrix& in, Workspace* ws, TransformerEncoder::Cache* c) {
+        return layer.Forward(in, seq_len, ws, c);
+      },
+      [&](const TransformerEncoder::Cache& c, const Matrix& d, Workspace* ws,
+          const Shard& shard) { return layer.Backward(c, d, ws, shard); });
+}
+
+// The scalar Adam loop the vectorized step replaced, kept as its reference.
+void ReferenceAdamStep(const std::vector<Param*>& params, std::vector<Matrix>* m_state,
+                       std::vector<Matrix>* v_state, int64_t t, double lr, double weight_decay) {
+  const double beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+  double bias1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+  double bias2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+  for (size_t i = 0; i < params.size(); ++i) {
+    Param* p = params[i];
+    Matrix& m = (*m_state)[i];
+    Matrix& v = (*v_state)[i];
+    for (size_t j = 0; j < p->value.size(); ++j) {
+      float g = p->grad.data()[j];
+      m.data()[j] = static_cast<float>(beta1 * m.data()[j] + (1.0 - beta1) * g);
+      v.data()[j] = static_cast<float>(beta2 * v.data()[j] + (1.0 - beta2) * g * g);
+      double m_hat = m.data()[j] / bias1;
+      double v_hat = v.data()[j] / bias2;
+      double update = m_hat / (std::sqrt(v_hat) + eps) + weight_decay * p->value.data()[j];
+      p->value.data()[j] -= static_cast<float>(lr * update);
+    }
+  }
+}
+
+TEST(OptimizerTest, AdamStepMatchesTheScalarLoopBitwise) {
+  Rng rng(124);
+  // Odd sizes exercise every vector-loop tail.
+  std::vector<Param> mine(3), ref(3);
+  const int shapes[3][2] = {{37, 5}, {1, 13}, {8, 8}};
+  std::vector<Param*> mine_ptrs, ref_ptrs;
+  std::vector<Matrix> m_state, v_state;
+  for (size_t i = 0; i < 3; ++i) {
+    mine[i].InitZero(shapes[i][0], shapes[i][1]);
+    mine[i].value = RandomMatrix(shapes[i][0], shapes[i][1], &rng);
+    ref[i] = mine[i];
+    mine_ptrs.push_back(&mine[i]);
+    ref_ptrs.push_back(&ref[i]);
+    m_state.emplace_back(shapes[i][0], shapes[i][1]);
+    v_state.emplace_back(shapes[i][0], shapes[i][1]);
+  }
+  const double lr = 3e-3, weight_decay = 3e-5;
+  Adam adam(mine_ptrs, lr, weight_decay);
+  for (int64_t t = 1; t <= 6; ++t) {
+    for (size_t i = 0; i < 3; ++i) {
+      mine[i].grad = RandomMatrix(shapes[i][0], shapes[i][1], &rng, t == 3 ? 0.0 : 0.5);
+      ref[i].grad = mine[i].grad;
+    }
+    if (t % 2 == 0) {
+      adam.Step();
+    } else {
+      // The same step in uneven pieces, as the training step splits it.
+      adam.BeginStep();
+      const int64_t total = adam.num_values();
+      for (int64_t b = 0; b < total; b += 29) {
+        adam.Update(b, std::min(total, b + 29), 1.0f);
+      }
+    }
+    ReferenceAdamStep(ref_ptrs, &m_state, &v_state, t, lr, weight_decay);
+    for (size_t i = 0; i < 3; ++i) {
+      ASSERT_EQ(std::memcmp(mine[i].value.data(), ref[i].value.data(),
+                            mine[i].value.size() * sizeof(float)),
+                0)
+          << "param " << i << " after step " << t;
+    }
+  }
+}
+
 TEST(OptimizerTest, AdamReducesQuadraticLoss) {
   // Minimize ||w - target||^2 with Adam.
   Param p;
@@ -465,7 +670,6 @@ TEST(OptimizerTest, AdamReducesQuadraticLoss) {
     }
     last_loss = loss;
     adam.Step();
-    p.grad.Zero();
   }
   EXPECT_LT(last_loss, first_loss * 1e-3);
 }
@@ -479,7 +683,6 @@ TEST(OptimizerTest, SgdMomentumConverges) {
       p.grad.At(0, j) = 2 * (p.value.At(0, j) - 1.0f);
     }
     sgd.Step();
-    p.grad.Zero();
   }
   for (int j = 0; j < 4; ++j) {
     EXPECT_NEAR(p.value.At(0, j), 1.0f, 1e-2);
@@ -497,21 +700,30 @@ TEST(OptimizerTest, CyclicLrIsTriangular) {
 
 class LossGradTest : public ::testing::TestWithParam<LossKind> {};
 
+// Loss value (and gradient into `grad`) over equal-length vectors.
+double LossOf(LossKind kind, const std::vector<float>& pred, const std::vector<float>& target,
+              double lambda, std::vector<float>* grad = nullptr) {
+  std::vector<float> scratch(pred.size());
+  std::vector<float>* g = grad != nullptr ? grad : &scratch;
+  g->resize(pred.size());
+  return ComputeLoss(kind, pred.data(), target.data(), pred.size(), lambda, g->data());
+}
+
 TEST_P(LossGradTest, GradientMatchesFiniteDifference) {
   LossKind kind = GetParam();
   std::vector<float> pred = {1.2f, 3.4f, 0.8f, 2.0f};
   std::vector<float> target = {1.0f, 3.0f, 1.0f, 2.5f};
-  LossResult res = ComputeLoss(kind, pred, target, 0.2);
+  std::vector<float> grad;
+  LossOf(kind, pred, target, 0.2, &grad);
   const double eps = 1e-4;
   for (size_t i = 0; i < pred.size(); ++i) {
     std::vector<float> up = pred;
     std::vector<float> down = pred;
     up[i] += static_cast<float>(eps);
     down[i] -= static_cast<float>(eps);
-    double numeric = (ComputeLoss(kind, up, target, 0.2).value -
-                      ComputeLoss(kind, down, target, 0.2).value) /
-                     (2 * eps);
-    EXPECT_NEAR(res.grad[i], numeric, 1e-3) << LossKindName(kind) << " i=" << i;
+    double numeric =
+        (LossOf(kind, up, target, 0.2) - LossOf(kind, down, target, 0.2)) / (2 * eps);
+    EXPECT_NEAR(grad[i], numeric, 1e-3) << LossKindName(kind) << " i=" << i;
   }
 }
 
@@ -522,9 +734,9 @@ INSTANTIATE_TEST_SUITE_P(AllLosses, LossGradTest,
 TEST(LossTest, HybridIsMsePlusLambdaMape) {
   std::vector<float> pred = {2.0f, 4.0f};
   std::vector<float> target = {1.0f, 5.0f};
-  double mse = ComputeLoss(LossKind::kMse, pred, target, 0).value;
-  double mape = ComputeLoss(LossKind::kMape, pred, target, 0).value;
-  double hybrid = ComputeLoss(LossKind::kHybrid, pred, target, 0.3).value;
+  double mse = LossOf(LossKind::kMse, pred, target, 0);
+  double mape = LossOf(LossKind::kMape, pred, target, 0);
+  double hybrid = LossOf(LossKind::kHybrid, pred, target, 0.3);
   EXPECT_NEAR(hybrid, mse + 0.3 * mape, 1e-9);
 }
 
@@ -560,9 +772,6 @@ TEST(TrainingSmokeTest, TransformerFitsSimpleFunction) {
     Matrix x;
     std::vector<float> y;
     make_batch(16, &x, &y);
-    for (Param* p : params) {
-      p->grad.Zero();
-    }
     Workspace ws;
     TransformerEncoder::Cache enc_cache;
     Linear::Cache head_cache;
@@ -588,7 +797,7 @@ TEST(TrainingSmokeTest, TransformerFitsSimpleFunction) {
       first_loss = loss;
     }
     last_loss = loss;
-    Matrix dflat = head.Backward(head_cache, dpred);
+    const Matrix& dflat = *head.Backward(head_cache, dpred, &ws);
     Matrix dh(16 * seq, d);
     for (int i = 0; i < 16; ++i) {
       for (int t = 0; t < seq; ++t) {
@@ -597,7 +806,7 @@ TEST(TrainingSmokeTest, TransformerFitsSimpleFunction) {
         }
       }
     }
-    enc.Backward(enc_cache, dh);
+    enc.Backward(enc_cache, dh, &ws);
     adam.Step();
   }
   EXPECT_LT(last_loss, first_loss * 0.5);

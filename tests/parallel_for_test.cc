@@ -1,6 +1,6 @@
 // ThreadPool / ParallelFor contract tests: partition correctness, nested
-// submits, exception propagation, single-thread determinism, and the
-// stealing scheduler's concurrent-region composition.
+// submits, exception propagation, single-thread determinism, concurrent
+// callers (one region at a time, the rest inline) and in-order chunk claims.
 #include <atomic>
 #include <algorithm>
 #include <map>
@@ -171,93 +171,81 @@ uint64_t CounterOrZero(const std::map<std::string, uint64_t>& counters,
   return it == counters.end() ? 0 : it->second;
 }
 
-TEST(ParallelForTest, ConcurrentTopLevelRegionsComposeWithoutSerialFallback) {
-  // The whole point of the stealing scheduler: top-level callers arriving at
-  // a busy pool fork their own region instead of collapsing to inline serial
-  // (the old serial_contended path). Regions overlap deterministically here:
-  // every chunk body spins until all callers have started their region, so
-  // regions_concurrent_peak must reach the caller count too.
+TEST(ParallelForTest, ConcurrentCallerRunsInlineWhileARegionIsInFlight) {
+  // One region at a time: a caller arriving while another region is in
+  // flight runs its whole range inline, on its own thread, in one call.
   ThreadPool pool(4);
-  constexpr int kCallers = 3;
-  constexpr int64_t kN = 4096;
   const auto before = obs::MetricsRegistry::Global().CounterValues();
-
-  std::atomic<int> regions_started{0};
-  std::vector<int64_t> sums(kCallers, 0);
-  std::vector<std::thread> callers;
-  for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&, c] {
-      std::atomic<int64_t> sum{0};
-      // Chunks of one region can run on the caller AND on stealing workers
-      // concurrently, so the once-per-region latch must be atomic.
-      std::atomic<bool> counted{false};
-      pool.ParallelFor(0, kN, /*grain=*/256, [&](int64_t b, int64_t e) {
-        if (!counted.exchange(true)) {
-          regions_started.fetch_add(1);
-        }
-        while (regions_started.load() < kCallers) {
-          std::this_thread::yield();
-        }
-        int64_t local = 0;
-        for (int64_t i = b; i < e; ++i) {
-          local += i * (c + 1);
-        }
-        sum.fetch_add(local);
-      });
-      sums[static_cast<size_t>(c)] = sum.load();
+  std::atomic<bool> region_started{false};
+  std::atomic<bool> second_done{false};
+  std::thread first([&] {
+    pool.ParallelFor(0, 8, 1, [&](int64_t, int64_t) {
+      region_started.store(true);
+      while (!second_done.load()) {
+        std::this_thread::yield();
+      }
     });
+  });
+  while (!region_started.load()) {
+    std::this_thread::yield();
   }
-  for (auto& t : callers) {
-    t.join();
-  }
-
-  const int64_t base = kN * (kN - 1) / 2;
-  for (int c = 0; c < kCallers; ++c) {
-    EXPECT_EQ(sums[static_cast<size_t>(c)], base * (c + 1)) << "caller " << c;
-  }
+  std::vector<std::pair<int64_t, int64_t>> calls;  // inline: no mutex needed
+  std::vector<std::thread::id> ran_on;
+  pool.ParallelFor(0, 100, 10, [&](int64_t b, int64_t e) {
+    calls.emplace_back(b, e);
+    ran_on.push_back(std::this_thread::get_id());
+  });
+  second_done.store(true);
+  first.join();
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], (std::pair<int64_t, int64_t>{0, 100}));
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
   const auto after = obs::MetricsRegistry::Global().CounterValues();
   EXPECT_EQ(CounterOrZero(after, "parallel_for.serial_contended"),
-            CounterOrZero(before, "parallel_for.serial_contended"));
-  EXPECT_GE(CounterOrZero(after, "parallel_for.forked"),
-            CounterOrZero(before, "parallel_for.forked") + kCallers);
-  // Monotonic high-water counter: its value IS the peak, so after a forced
-  // kCallers-way overlap it must read at least kCallers.
-  EXPECT_GE(CounterOrZero(after, "parallel_for.regions_concurrent_peak"),
-            static_cast<uint64_t>(kCallers));
+            CounterOrZero(before, "parallel_for.serial_contended") + 1);
+  EXPECT_EQ(CounterOrZero(after, "parallel_for.forked"),
+            CounterOrZero(before, "parallel_for.forked") + 1);
 }
 
-TEST(ParallelForTest, IdleWorkerStealsChunksOfAnActiveRegion) {
-  // A region whose first chunk blocks until a second executor arrives can
-  // only finish if a pool worker steals the remaining chunks — this pins the
-  // publish/wake path (and would hang, loudly, if wake-ups were lost).
-  ThreadPool pool(2);
-  const auto before = obs::MetricsRegistry::Global().CounterValues();
-  std::atomic<int> arrived{0};
-  std::atomic<int64_t> covered{0};
-  pool.ParallelFor(0, 64, /*grain=*/8, [&](int64_t b, int64_t e) {
-    arrived.fetch_add(1);
-    while (arrived.load() < 2) {
-      std::this_thread::yield();
+TEST(ParallelForTest, ChunkMayWaitOnTheChunkBeforeIt) {
+  // Chunks are claimed in increasing order, so a chunk that waits for its
+  // predecessor (the training shards' ordered gradient accumulation does)
+  // always finds it claimed and running: no deadlock at any pool size.
+  for (int threads : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    for (int rep = 0; rep < 20; ++rep) {
+      constexpr int kChunks = 16;
+      std::vector<std::atomic<bool>> done(kChunks);
+      for (auto& d : done) {
+        d.store(false);
+      }
+      pool.ParallelFor(0, kChunks, 1, [&](int64_t b, int64_t e) {
+        for (int64_t j = b; j < e; ++j) {
+          while (j > 0 && !done[static_cast<size_t>(j - 1)].load()) {
+            std::this_thread::yield();
+          }
+          done[static_cast<size_t>(j)].store(true);
+        }
+      });
+      EXPECT_TRUE(done[kChunks - 1].load());
     }
-    covered.fetch_add(e - b);
-  });
-  EXPECT_EQ(covered.load(), 64);
-  const auto after = obs::MetricsRegistry::Global().CounterValues();
-  EXPECT_GE(CounterOrZero(after, "parallel_for.steals"),
-            CounterOrZero(before, "parallel_for.steals") + 1);
+  }
 }
 
-TEST(ParallelForTest, ExceptionStaysInItsOwnRegion) {
-  // Failures must not leak across concurrently draining regions: the
-  // throwing caller sees its exception, the healthy caller sees its sums.
+TEST(ParallelForTest, ExceptionStaysWithItsCaller) {
+  // Failures must not leak between concurrent callers (one forks, the other
+  // runs inline): the throwing caller sees its exception, the healthy caller
+  // sees its sums.
   ThreadPool pool(4);
   constexpr int kReps = 25;
   std::atomic<int> caught{0};
   std::thread thrower([&] {
     for (int rep = 0; rep < kReps; ++rep) {
       try {
-        pool.ParallelFor(0, 512, 16, [&](int64_t b, int64_t) {
-          if (b == 256) {
+        // Whichever chunk holds element 256 throws, forked or inline.
+        pool.ParallelFor(0, 512, 16, [&](int64_t b, int64_t e) {
+          if (b <= 256 && 256 < e) {
             throw std::runtime_error("boom");
           }
         });
@@ -286,7 +274,7 @@ TEST(ParallelForTest, ExceptionStaysInItsOwnRegion) {
 
 TEST(ParallelForTest, GlobalPoolWorks) {
   std::atomic<int64_t> sum{0};
-  ParallelFor(0, 1000, 32, [&](int64_t b, int64_t e) {
+  ThreadPool::Global().ParallelFor(0, 1000, 32, [&](int64_t b, int64_t e) {
     int64_t local = 0;
     for (int64_t i = b; i < e; ++i) {
       local += i;

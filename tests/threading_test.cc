@@ -1,19 +1,17 @@
 // Thread-parallel data-plane contract tests:
 //
 //   * WorkspacePool checkout/return semantics — exclusivity under concurrent
-//     checkout, LIFO warm reuse, reset-on-checkout, exception-safe lease
-//     return, nested leases under ParallelFor (the serving composition).
-//   * ParallelForWithScratch — coverage, per-chunk private scratch,
-//     deterministic chunk->lease assignment.
-//   * Thread-count invariance — the serving contract that Forward /
-//     PredictBatched results are BITWISE identical for every
-//     CDMPP_NUM_THREADS value (pools of 1, 2, and 8 threads), for fp32 and
-//     int8, under both kernel ISAs, and across batch splits.
+//     checkout, LIFO warm reuse, reset-on-checkout.
+//   * Sharded training — the pinned golden parameters (tests/
+//     golden_training.h) come out bitwise the same at pool sizes 1, 2, 3
+//     and 8 under both kernel ISAs; size 3 splits batches unevenly.
+//   * Thread-count invariance — Forward / PredictBatched / Predict results
+//     are BITWISE identical for every pool size, for fp32 and int8, under
+//     both kernel ISAs, and across batch splits.
 #include <atomic>
 #include <cstring>
 #include <mutex>
 #include <set>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -26,6 +24,7 @@
 #include "src/support/cpu_features.h"
 #include "src/support/parallel_for.h"
 #include "src/tir/schedule.h"
+#include "tests/golden_training.h"
 
 namespace cdmpp {
 namespace {
@@ -125,118 +124,6 @@ TEST(WorkspacePoolTest, ConcurrentCheckoutReturnNeverSharesAnArena) {
   EXPECT_EQ(pool.num_free(), pool.num_arenas());  // every lease returned
 }
 
-TEST(WorkspacePoolTest, ExceptionInChunkBodyReturnsEveryLease) {
-  WorkspacePool pool;
-  ThreadPool threads(4);
-  EXPECT_THROW(
-      threads.ParallelForWithScratch(pool, 0, 64, 4,
-                                     [&](Workspace* scratch, int64_t b, int64_t) {
-                                       scratch->NewMatrix(2, 2);
-                                       if (b >= 32) {
-                                         throw std::runtime_error("boom");
-                                       }
-                                     }),
-      std::runtime_error);
-  EXPECT_GT(pool.num_arenas(), 0u);
-  EXPECT_EQ(pool.num_free(), pool.num_arenas())
-      << "a lease leaked through the exception unwind";
-}
-
-TEST(WorkspacePoolTest, NestedLeasesUnderParallelForDoNotDeadlock) {
-  // The serving composition: an outer region (worker-level) whose chunks hold
-  // a lease while running a nested ParallelForWithScratch (intra-request).
-  // The nested region runs inline and leases more arenas from the same pool;
-  // grow-on-demand checkout means this can never block.
-  WorkspacePool pool;
-  ThreadPool threads(4);
-  std::atomic<int64_t> sum{0};
-  threads.ParallelFor(0, 16, 1, [&](int64_t ob, int64_t oe) {
-    for (int64_t o = ob; o < oe; ++o) {
-      WorkspacePool::Lease outer = pool.Acquire();
-      outer->NewMatrix(4, 4);
-      threads.ParallelForWithScratch(pool, 0, 8, 2,
-                                     [&](Workspace* scratch, int64_t b, int64_t e) {
-                                       scratch->NewMatrix(2, 2);
-                                       sum.fetch_add(e - b);
-                                     });
-    }
-  });
-  EXPECT_EQ(sum.load(), 16 * 8);
-  EXPECT_EQ(pool.num_free(), pool.num_arenas());
-}
-
-// ---- ParallelForWithScratch ------------------------------------------------
-
-TEST(ParallelForWithScratchTest, CoversRangeOnceWithPrivatePerChunkScratch) {
-  WorkspacePool pool;
-  ThreadPool threads(4);
-  constexpr int kN = 1000;
-  constexpr int64_t kGrain = 37;
-  std::vector<std::atomic<int>> touched(kN);
-  for (auto& t : touched) {
-    t.store(0);
-  }
-  std::mutex mu;
-  std::set<Workspace*> scratch_by_chunk;
-  int chunks = 0;
-  threads.ParallelForWithScratch(pool, 0, kN, kGrain,
-                                 [&](Workspace* scratch, int64_t b, int64_t e) {
-                                   ASSERT_NE(scratch, nullptr);
-                                   for (int64_t i = b; i < e; ++i) {
-                                     touched[static_cast<size_t>(i)].fetch_add(1);
-                                   }
-                                   std::lock_guard<std::mutex> lock(mu);
-                                   scratch_by_chunk.insert(scratch);
-                                   ++chunks;
-                                 });
-  for (int i = 0; i < kN; ++i) {
-    EXPECT_EQ(touched[static_cast<size_t>(i)].load(), 1) << "index " << i;
-  }
-  // Chunk j always gets lease j: as many distinct arenas as chunks ran.
-  EXPECT_EQ(scratch_by_chunk.size(), static_cast<size_t>(chunks));
-  EXPECT_EQ(pool.num_free(), pool.num_arenas());
-}
-
-TEST(ParallelForWithScratchTest, InlineRegionsLeaseSingleScratch) {
-  // A single-thread pool (and any nested call) is guaranteed to run inline
-  // as one chunk — it must not check out leases that can never be used.
-  WorkspacePool pool;
-  ThreadPool serial(1);
-  std::atomic<int64_t> covered{0};
-  serial.ParallelForWithScratch(pool, 0, 1000, 10,
-                                [&](Workspace* scratch, int64_t b, int64_t e) {
-                                  ASSERT_NE(scratch, nullptr);
-                                  covered.fetch_add(e - b);
-                                });
-  EXPECT_EQ(covered.load(), 1000);
-  EXPECT_EQ(pool.num_arenas(), 1u);
-
-  // Nested under an outer region: each inner call leases exactly one arena,
-  // so the pool tops out at the number of concurrently running outer chunks.
-  WorkspacePool nested_pool;
-  ThreadPool threads(4);
-  threads.ParallelFor(0, 16, 1, [&](int64_t ob, int64_t oe) {
-    for (int64_t o = ob; o < oe; ++o) {
-      threads.ParallelForWithScratch(nested_pool, 0, 100, 5,
-                                     [&](Workspace*, int64_t, int64_t) {});
-    }
-  });
-  EXPECT_LE(nested_pool.num_arenas(), 4u);
-}
-
-TEST(ParallelForWithScratchTest, RaisesGrainToCapTheLeaseTable) {
-  WorkspacePool pool;
-  ThreadPool threads(2);
-  std::atomic<int64_t> covered{0};
-  // A grain of 1 over a huge range must not check out one lease per element.
-  threads.ParallelForWithScratch(pool, 0, 100000, 1,
-                                 [&](Workspace*, int64_t b, int64_t e) {
-                                   covered.fetch_add(e - b);
-                                 });
-  EXPECT_EQ(covered.load(), 100000);
-  EXPECT_LE(pool.num_arenas(), static_cast<size_t>(ThreadPool::kMaxScratchChunks));
-}
-
 // ---- Thread-count invariance ----------------------------------------------
 
 Matrix RandomMatrix(int rows, int cols, Rng* rng) {
@@ -254,12 +141,25 @@ void ExpectBitwiseEqual(const Matrix& a, const Matrix& b, const char* what) {
       << what << ": outputs differ across thread counts";
 }
 
+// ---- Sharded training ------------------------------------------------------
+
+TEST(ShardedTrainingTest, GoldenParamsHoldAtEveryPoolSize) {
+  ForEachIsa([&] {
+    const GoldenHashes want = ExpectedGoldenHashes();
+    for (int threads : {1, 2, 3, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ScopedGlobalPool scoped(threads);
+      const GoldenHashes got = RunGoldenTraining();
+      EXPECT_EQ(got.pretrain, want.pretrain);
+      EXPECT_EQ(got.finetune, want.finetune);
+    }
+  });
+}
+
 TEST(ThreadInvarianceTest, EncoderForwardBitwiseAcrossThreadCounts) {
   Rng rng(71);
-  // Big enough that the attention block loop actually forks (the flops
-  // threshold), with a seq_len that exercises ragged kernel tails. Both
-  // flavours of the one forward: inference (chunks lease scores scratch) and
-  // training (with a cache, chunks write their slices of the softmax cache).
+  // A seq_len that exercises ragged kernel tails. Both flavours of the one
+  // forward: inference and training (with a cache).
   TransformerEncoder enc(/*d_model=*/32, /*num_heads=*/4, /*d_ff=*/64, /*num_layers=*/2,
                          &rng);
   const int seq_len = 7;
@@ -401,11 +301,31 @@ TEST(ThreadInvarianceTest, PredictBatchedBitwiseAcrossThreadCountsFp32AndInt8) {
   }
 }
 
-TEST(ThreadInvarianceTest, ServiceUnderIntraRequestThreadsMatchesDirectForward) {
-  // Worker-level batching and intra-request parallelism composed end to end:
-  // a 2-worker service on a multi-thread pool must neither deadlock (nested
-  // pool leases inside the workers' forwards) nor change a single bit of the
-  // served predictions.
+TEST(ThreadInvarianceTest, ShardedPredictMatchesServingForwardAtEveryPoolSize) {
+  // Predict and EncodeLatent split each batch into shards across the pool;
+  // every row must be bitwise the serving forward's, at every pool size.
+  TestWorld& w = World();
+  std::vector<int> indices(w.ds.samples.size());
+  for (size_t i = 0; i < indices.size(); ++i) {
+    indices[i] = static_cast<int>(i);
+  }
+  Matrix latents_serial;
+  {
+    ScopedGlobalPool serial(1);
+    latents_serial = w.predictor->EncodeLatent(w.ds, indices);  // also creates missing heads
+  }
+  const std::vector<double> served = w.predictor->PredictBatched(DatasetView(w.ds, indices));
+  for (int threads : {1, 2, 3, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedGlobalPool scoped(threads);
+    EXPECT_EQ(w.predictor->Predict(w.ds, indices), served);
+    ExpectBitwiseEqual(latents_serial, w.predictor->EncodeLatent(w.ds, indices), "latents");
+  }
+}
+
+TEST(ThreadInvarianceTest, ServiceOnAMultiThreadPoolMatchesDirectForward) {
+  // Worker-level batching on a multi-thread pool: a 2-worker service must
+  // not change a single bit of the served predictions.
   TestWorld& w = World();
   AstBatchView view = ViewOf(w);
   std::vector<double> expected(view.size(), -1.0);

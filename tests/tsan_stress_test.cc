@@ -17,13 +17,18 @@
 //   * a WorkspacePool churn thread leasing/returning global-pool arenas
 //     (nested leases included), and
 //   * 1-in-2 trace sampling, so ScopedTraceBinding/ScopedSpan/Emit run hot,
-// all under a deliberately small 3-thread global ThreadPool so intra-request
-// ParallelFor forking, lease traffic, and worker-level batching fight over
-// the same workers instead of spreading out.
+// all under a deliberately small 3-thread global ThreadPool.
 //
 // The pinned contract: every future resolves to the bitwise-exact value the
 // active precision's direct forward computes, no matter how the interleaving
 // falls — recalibration from unchanged parameters is bitwise invisible.
+//
+// Two more cases: concurrent ParallelFor callers on the fork-join pool (one
+// region at a time, the rest inline, one caller throwing), and a service
+// serving one predictor while another thread trains a second predictor
+// through sharded steps — the shards' ordered gradient turns, the arena
+// leases and the serving workers all interleave, and both sides must come
+// out bitwise the same as when each runs alone.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -43,6 +48,7 @@
 #include "src/obs/trace.h"
 #include "src/serve/prediction_service.h"
 #include "src/support/cpu_features.h"
+#include "src/support/fnv_hash.h"
 #include "src/support/parallel_for.h"
 #include "src/support/rng.h"
 #include "src/tir/schedule.h"
@@ -162,7 +168,7 @@ TEST(TsanStressTest, RecalibrateFromUnchangedParamsIsBitwiseInvisible) {
 
 TEST(TsanStressTest, ConcurrentSubmitRecalibrateStatsTraceAndPoolChurn) {
   StressWorld& w = World();
-  ScopedGlobalPool pool(3);      // small: forking + leases contend for real
+  ScopedGlobalPool pool(3);      // small: leases and workers contend for real
   ScopedTraceSampling trace(2);  // every other request runs the trace plumbing
 
   ServeOptions opts;
@@ -259,49 +265,33 @@ TEST(TsanStressTest, ConcurrentSubmitRecalibrateStatsTraceAndPoolChurn) {
   EXPECT_LE(final_snap.cache_hits, final_snap.requests);
 }
 
-// The stealing scheduler under maximal interference: several concurrent
-// top-level ParallelFor callers (mixed grains, one of them repeatedly
-// throwing, every one running a nested ParallelForWithScratch inside its
-// chunks) against one small shared pool. The pinned contracts:
-//   * every caller's output is bitwise-identical to a plain serial loop —
-//     the chunk partition is fixed at publish time, so neither stealing nor
-//     the interleaving may change any value,
-//   * every scratch lease returns (num_free == num_arenas afterwards), even
-//     on the throwing caller's unwinding path,
-//   * serial_contended does not move: contended top-level regions now fork
-//     and compose instead of collapsing to inline serial.
-TEST(TsanStressTest, ConcurrentTopLevelParallelForCallersComposeBitwise) {
+// The fork-join pool under interference: several concurrent ParallelFor
+// callers (mixed grains, one of them repeatedly throwing) against one small
+// shared pool. One region runs at a time and every other caller runs its
+// range inline, so the pinned contracts are that every caller's output is
+// bitwise-identical to a plain serial loop and the exception comes back to
+// the thrower every time.
+TEST(TsanStressTest, ConcurrentParallelForCallersAreBitwise) {
   ScopedGlobalPool pool(4);
-  WorkspacePool scratch_pool;  // private: lease accounting is exact
 
   constexpr int kCallers = 4;
   constexpr int kIters = 60;
   constexpr int64_t kN = 2048;
   const int64_t grains[kCallers] = {16, 48, 129, 512};  // mixed, non-dividing
 
-  // Per-element functions with no partition-sensitive state: f writes out[],
-  // g writes out2[] from inside the nested region.
   auto f = [](int caller, int64_t i) {
     const float x = 0.5f + static_cast<float>((i * 37 + caller * 11) % 101);
     return x * x + 3.0f * x + static_cast<float>(caller);
   };
-  auto g = [](int caller, int64_t i) {
-    return static_cast<float>((i * 13 + caller) % 257) * 0.25f;
-  };
 
   // Serial references, computed before any concurrency starts.
-  std::vector<std::vector<float>> want(kCallers), want2(kCallers);
+  std::vector<std::vector<float>> want(kCallers);
   for (int c = 0; c < kCallers; ++c) {
     want[c].resize(kN);
-    want2[c].resize(kN);
     for (int64_t i = 0; i < kN; ++i) {
       want[c][static_cast<size_t>(i)] = f(c, i);
-      want2[c][static_cast<size_t>(i)] = g(c, i);
     }
   }
-
-  const uint64_t contended_before =
-      obs::MetricsRegistry::Global().CounterValues()["parallel_for.serial_contended"];
 
   std::atomic<int> mismatches{0};
   std::atomic<int> thrower_caught{0};
@@ -309,46 +299,28 @@ TEST(TsanStressTest, ConcurrentTopLevelParallelForCallersComposeBitwise) {
   callers.reserve(kCallers + 1);
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&, c] {
-      std::vector<float> out(kN), out2(kN);
+      std::vector<float> out(kN);
       for (int iter = 0; iter < kIters; ++iter) {
         std::fill(out.begin(), out.end(), 0.0f);
-        std::fill(out2.begin(), out2.end(), 0.0f);
         pool.pool.ParallelFor(0, kN, grains[c], [&](int64_t b, int64_t e) {
           for (int64_t i = b; i < e; ++i) {
             out[static_cast<size_t>(i)] = f(c, i);
           }
-          // Nested region with scratch: runs inline on this executor (maybe
-          // a stealing worker), leasing one arena per call. Writes stay in
-          // this chunk's [b, e) slice, so concurrent chunks never overlap.
-          pool.pool.ParallelForWithScratch(
-              scratch_pool, b, e, 7, [&](Workspace* ws, int64_t nb, int64_t ne) {
-                Matrix* tmp = ws->NewMatrix(4, 4);
-                tmp->data()[0] = static_cast<float>(nb);  // arena really bumps
-                for (int64_t i = nb; i < ne; ++i) {
-                  out2[static_cast<size_t>(i)] = g(c, i);
-                }
-              });
         });
-        if (out != want[c] || out2 != want2[c]) {
+        if (out != want[c]) {
           mismatches.fetch_add(1);
         }
       }
     });
   }
-  // The thrower: top-level regions that fail mid-drain while everyone else
-  // is stealing; the exception must come back to THIS caller every time and
-  // scratch leased by its nested regions must return on unwind.
   callers.emplace_back([&] {
     for (int iter = 0; iter < kIters; ++iter) {
       try {
+        // Whichever chunk holds the middle element throws, forked or inline.
         pool.pool.ParallelFor(0, kN, 64, [&](int64_t b, int64_t e) {
-          pool.pool.ParallelForWithScratch(scratch_pool, b, e, 33,
-                                           [&](Workspace* ws, int64_t nb, int64_t) {
-                                             ws->NewI16(16);
-                                             if (nb >= kN / 2) {
-                                               throw std::runtime_error("stress boom");
-                                             }
-                                           });
+          if (b <= kN / 2 && kN / 2 < e) {
+            throw std::runtime_error("stress boom");
+          }
         });
       } catch (const std::runtime_error&) {
         thrower_caught.fetch_add(1);
@@ -362,12 +334,72 @@ TEST(TsanStressTest, ConcurrentTopLevelParallelForCallersComposeBitwise) {
   EXPECT_EQ(mismatches.load(), 0)
       << "a concurrent ParallelFor caller deviated bitwise from the serial loop";
   EXPECT_EQ(thrower_caught.load(), kIters);
-  EXPECT_EQ(scratch_pool.num_free(), scratch_pool.num_arenas())
-      << "a scratch lease leaked across the concurrent/unwinding paths";
-  const uint64_t contended_after =
-      obs::MetricsRegistry::Global().CounterValues()["parallel_for.serial_contended"];
-  EXPECT_EQ(contended_after, contended_before)
-      << "a contended top-level region fell back to serial";
+}
+
+// A second, tiny predictor trained on the stress world's dataset; returns
+// the hash of its parameters.
+uint64_t TrainSecondPredictor(const Dataset& ds) {
+  PredictorConfig cfg;
+  cfg.d_model = 16;
+  cfg.num_heads = 2;
+  cfg.d_ff = 32;
+  cfg.num_layers = 1;
+  cfg.z_dim = 16;
+  cfg.device_embed_dim = 8;
+  cfg.device_hidden_dim = 16;
+  cfg.decoder_hidden = {16};
+  cfg.batch_size = 24;  // several steps per epoch, uneven shards on 3 threads
+  cfg.epochs = 2;
+  cfg.seed = 19;
+  CdmppPredictor predictor(cfg);
+  Rng rng(37);
+  SplitIndices split = SplitDataset(ds, {0}, {}, &rng);
+  predictor.Pretrain(ds, split.train, split.valid);
+  uint64_t h = kFnvOffset;
+  for (const Matrix& m : predictor.ExportParams()) {
+    for (size_t i = 0; i < m.size(); ++i) {
+      h = FnvMixFloat(h, m.data()[i]);
+    }
+  }
+  return h;
+}
+
+TEST(TsanStressTest, ServeOnePredictorWhileTrainingAnother) {
+  StressWorld& w = World();
+  uint64_t want_hash = 0;
+  {
+    ScopedGlobalPool serial(1);
+    want_hash = TrainSecondPredictor(w.ds);
+  }
+  ScopedGlobalPool pool(3);
+  ServeOptions opts;
+  opts.num_workers = 2;
+  opts.enable_cache = false;  // every request runs a forward
+  PredictionService service(w.predictor.get(), opts);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> value_mismatches{0};
+  std::thread client([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      std::vector<std::future<double>> futures;
+      futures.reserve(w.workload.size());
+      for (const CompactAst& ast : w.workload) {
+        futures.push_back(service.Submit(ast, 0));
+      }
+      for (size_t i = 0; i < futures.size(); ++i) {
+        if (futures[i].get() != w.expected[i]) {
+          value_mismatches.fetch_add(1);
+        }
+      }
+    }
+  });
+  const uint64_t got_hash = TrainSecondPredictor(w.ds);
+  done.store(true, std::memory_order_relaxed);
+  client.join();
+
+  EXPECT_EQ(got_hash, want_hash) << "sharded training under load changed the parameters";
+  EXPECT_EQ(value_mismatches.load(), 0)
+      << "a served prediction deviated bitwise while another predictor trained";
 }
 
 }  // namespace

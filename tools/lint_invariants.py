@@ -37,21 +37,32 @@ in a temp tree and asserts the linter catches it):
                         tests/dataplane_test.cc); a second forward is how the
                         duplicated paths this rule retired would grow back.
 
-  R4 zero-alloc-fork    ParallelFor / ParallelForWithScratch / RunPanels chunk
-                        bodies must not contain allocation tokens (new,
-                        malloc, make_unique/shared, push_back, emplace_back,
-                        .resize(, .reserve(). Chunk bodies run concurrently on
-                        pool workers: an allocation there is both a warm-path
-                        heap hit (dataplane_test) and a malloc-lock
-                        serialization point. Arena bumps (NewMatrix/NewI16 on
-                        leased scratch) are the sanctioned alternative. The
-                        rule also scans the work-stealing scheduler itself
-                        (src/support/parallel_for.{cc,h}): every *Drain*/
-                        *Steal* function body — the per-chunk claim loop every
-                        stolen chunk runs through — and every task-descriptor
-                        lambda (the type-erasure trampoline and friends) must
-                        be token-free, or the scheduler would put a heap hit
-                        on every chunk of every region.
+  R4 zero-alloc-fork    ParallelFor chunk bodies must not contain allocation
+                        tokens (new, malloc, make_unique/shared, push_back,
+                        emplace_back, .resize(, .reserve(). Chunk bodies (the
+                        training shards, the optimizer slices) run
+                        concurrently on pool workers: an allocation there is
+                        both a warm-path heap hit (dataplane_test) and a
+                        malloc-lock serialization point. Arena bumps
+                        (NewMatrix/NewI16 on a shard's leased arena) are the
+                        sanctioned alternative. The rule also scans the
+                        fork-join pool itself (src/support/parallel_for.
+                        {cc,h}): every *Drain*/*WorkerLoop* function body —
+                        the per-chunk claim loop and the worker's
+                        wait-join-drain loop every region runs through — and
+                        every task-descriptor lambda (the type-erasure
+                        trampoline, wait predicates) must be token-free, or
+                        the pool would put a heap hit on every region.
+
+  R5 no-intra-op-fork   ParallelFor and ThreadPool may not appear in code
+                        under src/nn/, src/serve/ or
+                        src/search/. Layers and kernels run on the calling
+                        thread, and serve and tune workers run each forward
+                        on their own thread: at the predictor's shapes a fork
+                        per GEMM, attention block or LayerNorm cost more CPU
+                        than it saved and slowed serving. Parallelism lives
+                        in the training shards (src/core/predictor.cc), one
+                        fork per phase.
 
 Exit status: 0 clean, 1 violations found (printed as path:line: [rule] msg),
 2 self-test failure. Run from anywhere; the repo root is located relative to
@@ -91,7 +102,7 @@ ALLOC_TOKENS = [
     (re.compile(r'(?:\.|->)\s*reserve\s*\('), "reserve("),
 ]
 
-FORK_CALL = re.compile(r'\b(ParallelFor|ParallelForWithScratch|RunPanels)\s*\(')
+FORK_CALL = re.compile(r'\b(ParallelFor)\s*\(')
 
 
 def strip_comments_and_strings(text):
@@ -331,14 +342,14 @@ def chunk_bodies_at(text, call_match, lambdas):
     return bodies
 
 
-# The scheduler's own hot paths: files holding the stealing scheduler, the
-# function-name shape of its per-chunk claim/execute loops, and the lambdas
-# that serve as task descriptors (the ParallelFor type-erasure trampoline,
-# wait predicates, the scratch-dispatch wrapper). Setup/teardown code there
-# may allocate (thread spawn, registry bookkeeping under the mutex); the
-# drain/steal loops and task lambdas run once per chunk and must not.
+# The pool's own hot paths: the fork-join pool's files, the function-name
+# shape of its per-chunk claim loop and its workers' wait-join-drain loop,
+# and the lambdas that serve as task descriptors (the ParallelFor
+# type-erasure trampoline, wait predicates). Setup/teardown code there may
+# allocate (thread spawn); the drain and worker loops and task lambdas run on
+# every region and must not.
 SCHEDULER_FILES = ("src/support/parallel_for.cc", "src/support/parallel_for.h")
-SCHEDULER_FN = re.compile(r'\b\w*(?:Drain|Steal)\w*\s*\(')
+SCHEDULER_FN = re.compile(r'\b\w*(?:Drain|WorkerLoop)\w*\s*\(')
 
 
 def all_lambda_bodies(text):
@@ -363,9 +374,9 @@ def all_lambda_bodies(text):
                 yield pos, text[pos:body_end]
 
 
-def scheduler_steal_drain_findings(root):
-    """R4's widened scope: alloc tokens inside the scheduler's *Drain*/*Steal*
-    function bodies or inside any task-descriptor lambda in the scheduler
+def scheduler_drain_findings(root):
+    """R4's widened scope: alloc tokens inside the pool's *Drain*/*WorkerLoop*
+    function bodies or inside any task-descriptor lambda in the pool's
     files."""
     findings = []
     for rel in SCHEDULER_FILES:
@@ -386,7 +397,7 @@ def scheduler_steal_drain_findings(root):
             body_end = match_bracket(text, brace, '{', '}')
             if body_end != -1:
                 regions.append((brace, text[brace:body_end],
-                                "steal/drain function"))
+                                "drain/worker-loop function"))
         for pos, body in all_lambda_bodies(text):
             regions.append((pos, body, "task-descriptor lambda"))
         for pos, body, what in regions:
@@ -395,9 +406,9 @@ def scheduler_steal_drain_findings(root):
                 if tok:
                     findings.append(
                         (rel, line_of(text, pos + tok.start()), "zero-alloc-fork",
-                         "allocation token `%s` inside a scheduler %s: the "
-                         "steal/drain path runs once per chunk of every "
-                         "region and must be heap-free" % (token, what)))
+                         "allocation token `%s` inside a fork-join pool %s: "
+                         "the drain/worker path runs on every region and "
+                         "must be heap-free" % (token, what)))
     return findings
 
 
@@ -421,7 +432,29 @@ def check_zero_alloc_fork(root):
                              "allocation token `%s` inside a %s chunk body: "
                              "chunk bodies must be heap-free (lease arena "
                              "scratch pre-fork instead)" % (token, call.group(1))))
-    findings.extend(scheduler_steal_drain_findings(root))
+    findings.extend(scheduler_drain_findings(root))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# R5: no intra-op forks in layers, kernels, serving or search.
+# ---------------------------------------------------------------------------
+NO_FORK_DIRS = ("nn", "serve", "search")
+INTRA_OP_FORK = re.compile(r'\b(ParallelFor|ThreadPool)\b')
+
+
+def check_no_intra_op_fork(root):
+    findings = []
+    for path in iter_source_files(root, [os.path.join("src", d) for d in NO_FORK_DIRS]):
+        rel = relpath(root, path)
+        with open(path, encoding="utf-8", errors="replace") as f:
+            text = strip_comments_and_strings(f.read())
+        for m in INTRA_OP_FORK.finditer(text):
+            findings.append((rel, line_of(text, m.start()), "no-intra-op-fork",
+                             "%s under src/%s/: layers, kernels, serving and search "
+                             "run on the calling thread; fork once per training "
+                             "phase in src/core/ instead" %
+                             (m.group(1), rel.split("/")[1])))
     return findings
 
 
@@ -430,6 +463,7 @@ ALL_RULES = [
     ("determinism-sources", check_determinism_sources),
     ("one-forward", check_one_forward),
     ("zero-alloc-fork", check_zero_alloc_fork),
+    ("no-intra-op-fork", check_no_intra_op_fork),
 ]
 
 
@@ -484,19 +518,19 @@ SEEDED_VIOLATIONS = {
          "}\n"),
     ],
     "zero-alloc-fork": [
-        ("src/nn/bad_fork.cc",
+        ("src/core/bad_fork.cc",
          "void Bar(std::vector<float>* v) {\n"
          "  ParallelFor(0, 8, 1, [&](int64_t b, int64_t e) {\n"
          "    for (int64_t i = b; i < e; ++i) v->push_back(0.0f);\n"
          "  });\n"
          "}\n"),
-        # The widened scope, leg 1: an allocation smuggled into the stealing
-        # scheduler's per-chunk drain loop.
+        # The widened scope, leg 1: an allocation smuggled into the fork-join
+        # pool's per-chunk drain loop.
         ("src/support/parallel_for.cc",
-         "void ThreadPool::Impl::DrainRegion(Region* r, bool stealing) {\n"
+         "void ThreadPool::Impl::Drain() {\n"
          "  for (;;) {\n"
-         "    claimed.push_back(r->next.fetch_add(r->grain));\n"
-         "    if (claimed.back() >= r->end) return;\n"
+         "    claimed.push_back(next.fetch_add(grain));\n"
+         "    if (claimed.back() >= end) return;\n"
          "  }\n"
          "}\n"),
         # The widened scope, leg 2: a task-descriptor lambda (the kind the
@@ -508,6 +542,23 @@ SEEDED_VIOLATIONS = {
          "  };\n"
          "  task(ctx, 0, 8);\n"
          "}\n"),
+    ],
+    "no-intra-op-fork": [
+        # A layer forking its rows again.
+        ("src/nn/bad_rows.cc",
+         "void Rows(Matrix* y) {\n"
+         "  if (y->rows() > 64) {\n"
+         "    ParallelFor(0, y->rows(), 8, [&](int64_t, int64_t) {});\n"
+         "  }\n"
+         "}\n"),
+        # A serve worker forking its forward.
+        ("src/serve/bad_worker.cc",
+         "void Work(ThreadPool* pool) {\n"
+         "  pool->ParallelFor(0, 4, 1, [](int64_t, int64_t) {});\n"
+         "}\n"),
+        # A search driver forking its candidates.
+        ("src/search/bad_search.cc",
+         "int Threads() { return ThreadPool::Global().num_threads(); }\n"),
     ],
 }
 
@@ -523,16 +574,20 @@ CLEAN_FILES = {
         "  Matrix Backward(const Cache& cache, const Matrix& dy);\n"
         "};\n",
     "src/nn/good.cc":
+        "// Layers run on the calling thread; ParallelFor lives in src/core/.\n"
         "Matrix* Foo::Forward(const Matrix& x, Workspace* ws, Cache* cache) const {\n"
         "  Matrix* y = ws->NewMatrix(x.rows(), x.cols());\n"
-        "  auto fill = [&](int64_t b, int64_t e) {\n"
-        "    for (int64_t i = b; i < e; ++i) y->data()[i] = 0.0f;\n"
-        "  };\n"
-        "  ParallelFor(0, static_cast<int64_t>(x.size()), 8, fill);\n"
         "  if (cache != nullptr) {\n"
         "    cache->x = &x;\n"
         "  }\n"
         "  return y;\n"
+        "}\n",
+    "src/core/good.cc":
+        "void Step(Shards* shards, int count) {\n"
+        "  auto run = [&](int64_t b, int64_t e) {\n"
+        "    for (int64_t s = b; s < e; ++s) shards->Run(s);\n"
+        "  };\n"
+        "  ThreadPool::Global().ParallelFor(0, count, 1, run);\n"
         "}\n",
     "CMakeLists.txt":
         'check_cxx_compiler_flag("-mavx2" HAS_MAVX2)\n'
